@@ -466,7 +466,7 @@ fn main() -> ExitCode {
     let placer = ComplxPlacer::new(cfg.clone());
     let placed = match &opts.resume {
         Some(resume_path) => match load_checkpoint(resume_path) {
-            Ok((state, used_prev)) => {
+            Ok((checkpoint, used_prev)) => {
                 if !opts.quiet {
                     if used_prev {
                         eprintln!(
@@ -478,11 +478,11 @@ fn main() -> ExitCode {
                     eprintln!(
                         "complx: resuming from {} (iteration {}, generation {})",
                         resume_path.display(),
-                        state.iteration,
-                        state.generation
+                        checkpoint.state.iteration,
+                        checkpoint.generation
                     );
                 }
-                placer.resume(&design, state)
+                placer.resume(&design, checkpoint)
             }
             Err(CkptError::Io(e)) => Err(PlaceError::from(e)),
             Err(e) => Err(PlaceError::CheckpointMismatch {

@@ -1,10 +1,11 @@
 //! Crash-safe checkpointing of the λ-loop state (`complx-ckpt/v1`).
 //!
-//! A checkpoint captures everything the primal-dual loop needs to continue
-//! from iteration `k + 1` exactly as the uninterrupted run would: both
-//! iterates and the best feasible one, the λ schedule's internal state, the
-//! recovery state (CG tolerance, recovery and stagnation counters), and
-//! the trace/solver records accumulated so far. Because the models are
+//! The checkpoint payload *is* the placer's [`LoopState`] — everything the
+//! primal-dual loop needs to continue from iteration `k + 1` exactly as the
+//! uninterrupted run would: both iterates and the best feasible one, the λ
+//! schedule's internal state, the recovery state (CG tolerance, recovery
+//! and stagnation counters), and the trace/solver records accumulated so
+//! far. The codec reads and writes it in place. Because the models are
 //! stateless between `minimize` calls (they linearize against the incoming
 //! placement) and the parallel runtime is bit-deterministic for any thread
 //! count, restoring this state reproduces the remaining iterations
@@ -45,6 +46,8 @@ use complx_netlist::Placement;
 
 use crate::config::CheckpointConfig;
 use crate::faults::FaultKind;
+use crate::lambda::LambdaSchedule;
+use crate::placer::LoopState;
 use crate::solves::SolveRecord;
 use crate::trace::{IterationRecord, Trace};
 
@@ -98,8 +101,9 @@ impl std::error::Error for CkptError {
     }
 }
 
-/// The complete loop state captured at the bottom of λ-loop iteration
-/// [`Self::iteration`], after the schedule advanced for the next iteration.
+/// A checkpoint: the λ-loop state captured at the bottom of iteration
+/// `state.iteration` (after the schedule advanced for the next iteration),
+/// behind the header that ties it to one design and configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// Hash of the design the run was placing (see [`design_hash`]).
@@ -108,37 +112,8 @@ pub struct CheckpointState {
     pub config_hash: u64,
     /// Rotation generation (1-based, monotonically increasing per write).
     pub generation: u64,
-    /// The completed λ-loop iteration; resume continues at `iteration + 1`.
-    pub iteration: usize,
-    /// λ after the post-iteration advance (the value iteration `k + 1`
-    /// will use).
-    pub lambda: f64,
-    /// The schedule's initial multiplier `λ_1`.
-    pub lambda_1: f64,
-    /// The schedule's Formula 12 increment scale `h`.
-    pub h: f64,
-    /// The penalty `Π_k` the next advance compares against.
-    pub pi_prev: f64,
-    /// Current CG tolerance (tightened by each divergence recovery).
-    pub cg_tol: f64,
-    /// Divergence recoveries executed so far.
-    pub recoveries: usize,
-    /// Iterations since the best feasible iterate last improved.
-    pub stale: usize,
-    /// HPWL of the best feasible iterate.
-    pub best_phi_upper: f64,
-    /// λ used by the checkpointed iteration (for reporting).
-    pub final_lambda: f64,
-    /// The lower-bound (analytic) iterate.
-    pub lower: Placement,
-    /// The upper-bound (feasible) iterate — next iteration's anchors.
-    pub upper: Placement,
-    /// The best feasible iterate seen so far.
-    pub best_upper: Placement,
-    /// The convergence trace accumulated so far.
-    pub trace: Trace,
-    /// The solver records accumulated so far.
-    pub solves: Vec<SolveRecord>,
+    /// The loop state itself; resume continues at `state.iteration + 1`.
+    pub state: LoopState,
 }
 
 // ---------------------------------------------------------------------------
@@ -173,75 +148,78 @@ impl Enc {
             self.f64(y);
         }
     }
-    fn section(&mut self, tag: u32, payload: Enc) {
+    /// Appends section `tag` with the payload `write` produces.
+    fn section(&mut self, tag: u32, write: impl FnOnce(&mut Enc)) {
+        let mut payload = Enc::new();
+        write(&mut payload);
         self.u32(tag);
         self.u64(payload.buf.len() as u64);
         self.buf.extend_from_slice(&payload.buf);
     }
 }
 
-/// Serializes a state to the `complx-ckpt/v1` byte format (checksummed,
-/// ready to write to disk).
-pub fn encode(state: &CheckpointState) -> Vec<u8> {
+/// Serializes a checkpoint to the `complx-ckpt/v1` byte format
+/// (checksummed, ready to write to disk).
+pub fn encode(ckpt: &CheckpointState) -> Vec<u8> {
+    encode_with(
+        ckpt.design_hash,
+        ckpt.config_hash,
+        ckpt.generation,
+        &ckpt.state,
+    )
+}
+
+/// [`encode`] from the header fields and a borrowed loop state.
+fn encode_with(design_hash: u64, config_hash: u64, generation: u64, state: &LoopState) -> Vec<u8> {
     let mut out = Enc::new();
     out.buf.extend_from_slice(MAGIC);
     out.u32(7); // section count
 
-    let mut meta = Enc::new();
-    meta.u64(state.design_hash);
-    meta.u64(state.config_hash);
-    meta.u64(state.generation);
-    meta.usize(state.iteration);
-    out.section(TAG_META, meta);
-
-    let mut sc = Enc::new();
-    sc.f64(state.lambda);
-    sc.f64(state.lambda_1);
-    sc.f64(state.h);
-    sc.f64(state.pi_prev);
-    sc.f64(state.cg_tol);
-    sc.f64(state.best_phi_upper);
-    sc.f64(state.final_lambda);
-    sc.usize(state.recoveries);
-    sc.usize(state.stale);
-    out.section(TAG_SCALARS, sc);
-
-    for (tag, p) in [
-        (TAG_LOWER, &state.lower),
-        (TAG_UPPER, &state.upper),
-        (TAG_BEST, &state.best_upper),
-    ] {
-        let mut e = Enc::new();
-        e.placement(p);
-        out.section(tag, e);
-    }
-
-    let mut tr = Enc::new();
-    tr.usize(state.trace.len());
-    for r in state.trace.records() {
-        tr.usize(r.iteration);
-        tr.f64(r.lambda);
-        tr.f64(r.phi_lower);
-        tr.f64(r.phi_upper);
-        tr.f64(r.pi);
-        tr.f64(r.lagrangian);
-        tr.f64(r.overflow);
-        tr.usize(r.bins);
-    }
-    out.section(TAG_TRACE, tr);
-
-    let mut sv = Enc::new();
-    sv.usize(state.solves.len());
-    for r in &state.solves {
-        sv.usize(r.iteration);
-        sv.usize(r.iterations_x);
-        sv.usize(r.iterations_y);
-        sv.f64(r.relative_residual);
-        sv.usize(r.clamped_diagonals);
-        sv.buf.push(u8::from(r.converged));
-        sv.buf.push(u8::from(r.breakdown));
-    }
-    out.section(TAG_SOLVES, sv);
+    out.section(TAG_META, |e| {
+        e.u64(design_hash);
+        e.u64(config_hash);
+        e.u64(generation);
+        e.usize(state.iteration);
+    });
+    out.section(TAG_SCALARS, |e| {
+        e.f64(state.schedule.lambda());
+        e.f64(state.schedule.lambda_1());
+        e.f64(state.schedule.h());
+        e.f64(state.pi_prev);
+        e.f64(state.cg_tol);
+        e.f64(state.best_phi_upper);
+        e.f64(state.final_lambda);
+        e.usize(state.recoveries);
+        e.usize(state.stale);
+    });
+    out.section(TAG_LOWER, |e| e.placement(&state.lower));
+    out.section(TAG_UPPER, |e| e.placement(&state.upper));
+    out.section(TAG_BEST, |e| e.placement(&state.best_upper));
+    out.section(TAG_TRACE, |e| {
+        e.usize(state.trace.len());
+        for r in state.trace.records() {
+            e.usize(r.iteration);
+            e.f64(r.lambda);
+            e.f64(r.phi_lower);
+            e.f64(r.phi_upper);
+            e.f64(r.pi);
+            e.f64(r.lagrangian);
+            e.f64(r.overflow);
+            e.usize(r.bins);
+        }
+    });
+    out.section(TAG_SOLVES, |e| {
+        e.usize(state.solves.len());
+        for r in &state.solves {
+            e.usize(r.iteration);
+            e.usize(r.iterations_x);
+            e.usize(r.iterations_y);
+            e.f64(r.relative_residual);
+            e.usize(r.clamped_diagonals);
+            e.buf.push(u8::from(r.converged));
+            e.buf.push(u8::from(r.breakdown));
+        }
+    });
 
     let crc = fnv1a(&out.buf);
     out.u64(crc);
@@ -292,11 +270,14 @@ impl<'a> Dec<'a> {
     fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
     }
+    /// A `u64` that must fit a `usize`; `what` names it in the error.
+    fn usize(&mut self, what: &str) -> Result<usize, CkptError> {
+        usize::try_from(self.u64()?).map_err(|_| CkptError::Malformed(format!("{what} overflow")))
+    }
     /// A count that must be representable and small enough that the
     /// remaining bytes could hold `width` bytes per element.
     fn count(&mut self, width: usize) -> Result<usize, CkptError> {
-        let v = self.u64()?;
-        let n = usize::try_from(v).map_err(|_| CkptError::Malformed("count overflow".into()))?;
+        let n = self.usize("count")?;
         if n.checked_mul(width)
             .is_none_or(|need| need > self.remaining())
         {
@@ -355,63 +336,33 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState, CkptError> {
             "expected 7 sections, found {count}"
         )));
     }
+    // Tags are 1..=7, so a tag names its slot directly.
     let mut sections: [Option<&[u8]>; 7] = [None; 7];
     for _ in 0..count {
         let tag = dec.u32()?;
-        let len = dec.u64()?;
-        let len = usize::try_from(len).map_err(|_| CkptError::Truncated)?;
+        let len = usize::try_from(dec.u64()?).map_err(|_| CkptError::Truncated)?;
         let payload = dec.take(len)?;
-        let idx = match tag {
-            TAG_META => 0,
-            TAG_SCALARS => 1,
-            TAG_LOWER => 2,
-            TAG_UPPER => 3,
-            TAG_BEST => 4,
-            TAG_TRACE => 5,
-            TAG_SOLVES => 6,
-            other => {
-                return Err(CkptError::Malformed(format!("unknown section tag {other}")));
-            }
-        };
-        if sections[idx].replace(payload).is_some() {
+        let slot = sections
+            .get_mut((tag as usize).wrapping_sub(1))
+            .ok_or_else(|| CkptError::Malformed(format!("unknown section tag {tag}")))?;
+        if slot.replace(payload).is_some() {
             return Err(CkptError::Malformed(format!("duplicate section tag {tag}")));
         }
     }
     dec.finish_section()?;
-    let section = |idx: usize, tag: u32| -> Result<&[u8], CkptError> {
-        sections[idx].ok_or(CkptError::Malformed(format!("missing section tag {tag}")))
-    };
 
-    let mut meta = Dec::new(section(0, TAG_META)?);
-    let design_hash = meta.u64()?;
-    let config_hash = meta.u64()?;
-    let generation = meta.u64()?;
-    let iteration =
-        usize::try_from(meta.u64()?).map_err(|_| CkptError::Malformed("iteration".into()))?;
-    meta.finish_section()?;
-
-    let mut sc = Dec::new(section(1, TAG_SCALARS)?);
-    let lambda = sc.f64()?;
-    let lambda_1 = sc.f64()?;
-    let h = sc.f64()?;
-    let pi_prev = sc.f64()?;
-    let cg_tol = sc.f64()?;
-    let best_phi_upper = sc.f64()?;
-    let final_lambda = sc.f64()?;
-    let recoveries =
-        usize::try_from(sc.u64()?).map_err(|_| CkptError::Malformed("recoveries".into()))?;
-    let stale = usize::try_from(sc.u64()?).map_err(|_| CkptError::Malformed("stale".into()))?;
-    sc.finish_section()?;
-
-    let read_placement = |idx: usize, tag: u32| -> Result<Placement, CkptError> {
-        let mut d = Dec::new(section(idx, tag)?);
-        let p = d.placement()?;
-        d.finish_section()?;
-        Ok(p)
-    };
-    let lower = read_placement(2, TAG_LOWER)?;
-    let upper = read_placement(3, TAG_UPPER)?;
-    let best_upper = read_placement(4, TAG_BEST)?;
+    // Struct-literal fields and call arguments evaluate as written, so
+    // every literal below reads its fields in wire order.
+    let (design_hash, config_hash, generation, iteration) =
+        read_section(&sections, TAG_META, |d| {
+            Ok((d.u64()?, d.u64()?, d.u64()?, d.usize("iteration")?))
+        })?;
+    let placement = |tag| read_section(&sections, tag, |d| d.placement());
+    let (lower, upper, best_upper) = (
+        placement(TAG_LOWER)?,
+        placement(TAG_UPPER)?,
+        placement(TAG_BEST)?,
+    );
     if lower.len() != upper.len() || lower.len() != best_upper.len() {
         return Err(CkptError::Malformed(format!(
             "placement lengths disagree: {} / {} / {}",
@@ -420,81 +371,78 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState, CkptError> {
             best_upper.len()
         )));
     }
-
-    let mut tr = Dec::new(section(5, TAG_TRACE)?);
-    let n = tr.count(64)?;
-    let mut trace = Trace::new();
-    for _ in 0..n {
-        let iteration =
-            usize::try_from(tr.u64()?).map_err(|_| CkptError::Malformed("trace iter".into()))?;
-        let lambda = tr.f64()?;
-        let phi_lower = tr.f64()?;
-        let phi_upper = tr.f64()?;
-        let pi = tr.f64()?;
-        let lagrangian = tr.f64()?;
-        let overflow = tr.f64()?;
-        let bins =
-            usize::try_from(tr.u64()?).map_err(|_| CkptError::Malformed("trace bins".into()))?;
-        trace.push(IterationRecord {
+    let trace = read_section(&sections, TAG_TRACE, |d| {
+        let mut trace = Trace::new();
+        for _ in 0..d.count(64)? {
+            trace.push(IterationRecord {
+                iteration: d.usize("trace iteration")?,
+                lambda: d.f64()?,
+                phi_lower: d.f64()?,
+                phi_upper: d.f64()?,
+                pi: d.f64()?,
+                lagrangian: d.f64()?,
+                overflow: d.f64()?,
+                bins: d.usize("trace bins")?,
+            });
+        }
+        Ok(trace)
+    })?;
+    let solves = read_section(&sections, TAG_SOLVES, |d| {
+        let n = d.count(42)?;
+        let mut solves = Vec::with_capacity(n);
+        for _ in 0..n {
+            solves.push(SolveRecord {
+                iteration: d.usize("solve iteration")?,
+                iterations_x: d.usize("solve x")?,
+                iterations_y: d.usize("solve y")?,
+                relative_residual: d.f64()?,
+                clamped_diagonals: d.usize("solve clamps")?,
+                converged: d.u8()? != 0,
+                breakdown: d.u8()? != 0,
+            });
+        }
+        Ok(solves)
+    })?;
+    let state = read_section(&sections, TAG_SCALARS, |d| {
+        Ok(LoopState {
             iteration,
-            lambda,
-            phi_lower,
-            phi_upper,
-            pi,
-            lagrangian,
-            overflow,
-            bins,
-        });
-    }
-    tr.finish_section()?;
-
-    let mut sv = Dec::new(section(6, TAG_SOLVES)?);
-    let n = sv.count(42)?;
-    let mut solves = Vec::with_capacity(n);
-    for _ in 0..n {
-        let iteration =
-            usize::try_from(sv.u64()?).map_err(|_| CkptError::Malformed("solve iter".into()))?;
-        let iterations_x =
-            usize::try_from(sv.u64()?).map_err(|_| CkptError::Malformed("solve x".into()))?;
-        let iterations_y =
-            usize::try_from(sv.u64()?).map_err(|_| CkptError::Malformed("solve y".into()))?;
-        let relative_residual = sv.f64()?;
-        let clamped_diagonals =
-            usize::try_from(sv.u64()?).map_err(|_| CkptError::Malformed("solve clamps".into()))?;
-        let converged = sv.u8()? != 0;
-        let breakdown = sv.u8()? != 0;
-        solves.push(SolveRecord {
-            iteration,
-            iterations_x,
-            iterations_y,
-            relative_residual,
-            clamped_diagonals,
-            converged,
-            breakdown,
-        });
-    }
-    sv.finish_section()?;
-
+            schedule: LambdaSchedule::restore(d.f64()?, d.f64()?, d.f64()?),
+            pi_prev: d.f64()?,
+            cg_tol: d.f64()?,
+            best_phi_upper: d.f64()?,
+            final_lambda: d.f64()?,
+            recoveries: d.usize("recoveries")?,
+            stale: d.usize("stale")?,
+            lower,
+            upper,
+            best_upper,
+            trace,
+            solves,
+        })
+    })?;
     Ok(CheckpointState {
         design_hash,
         config_hash,
         generation,
-        iteration,
-        lambda,
-        lambda_1,
-        h,
-        pi_prev,
-        cg_tol,
-        recoveries,
-        stale,
-        best_phi_upper,
-        final_lambda,
-        lower,
-        upper,
-        best_upper,
-        trace,
-        solves,
+        state,
     })
+}
+
+/// Decodes section `tag` with `read`, which must consume it exactly.
+fn read_section<T>(
+    sections: &[Option<&[u8]>; 7],
+    tag: u32,
+    read: impl FnOnce(&mut Dec<'_>) -> Result<T, CkptError>,
+) -> Result<T, CkptError> {
+    let bytes = sections
+        .get((tag as usize).wrapping_sub(1))
+        .copied()
+        .flatten()
+        .ok_or_else(|| CkptError::Malformed(format!("missing section tag {tag}")))?;
+    let mut d = Dec::new(bytes);
+    let value = read(&mut d)?;
+    d.finish_section()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -514,23 +462,33 @@ fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Writes checkpoint generations with the atomic tmp + rotate + rename
-/// protocol described in the module docs. Owned by one placement run.
+/// protocol described in the module docs. Owned by one placement run,
+/// whose design and configuration hashes it stamps into every header.
 #[derive(Debug)]
 pub(crate) struct CheckpointWriter {
     path: PathBuf,
     every: usize,
     generation: u64,
+    design_hash: u64,
+    config_hash: u64,
 }
 
 impl CheckpointWriter {
     /// A writer for `cfg`, continuing from `generation` (0 for a fresh
-    /// run; a resumed run passes the loaded state's generation so the
+    /// run; a resumed run passes the loaded checkpoint's generation so the
     /// rotation sequence continues).
-    pub(crate) fn new(cfg: &CheckpointConfig, generation: u64) -> Self {
+    pub(crate) fn new(
+        cfg: &CheckpointConfig,
+        generation: u64,
+        design_hash: u64,
+        config_hash: u64,
+    ) -> Self {
         Self {
             path: cfg.path.clone(),
             every: cfg.every.max(1),
             generation,
+            design_hash,
+            config_hash,
         }
     }
 
@@ -539,20 +497,26 @@ impl CheckpointWriter {
         k.is_multiple_of(self.every)
     }
 
-    /// The generation number the next [`Self::write`] will commit as.
-    pub(crate) fn next_generation(&self) -> u64 {
-        self.generation + 1
+    /// The generation of the last committed [`Self::write`].
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
-    /// Encodes and durably commits `state`, rotating the previous file to
-    /// `<path>.prev`. `fault` injects a checkpoint-I/O failure (see
-    /// [`FaultKind::is_checkpoint_fault`]). Returns the committed size.
+    /// Encodes `state` as the next generation and durably commits it,
+    /// rotating the previous file to `<path>.prev`. `fault` injects a
+    /// checkpoint-I/O failure (see [`FaultKind::is_checkpoint_fault`]).
+    /// Returns the committed size.
     pub(crate) fn write(
         &mut self,
-        state: &CheckpointState,
+        state: &LoopState,
         fault: Option<FaultKind>,
     ) -> std::io::Result<u64> {
-        let mut bytes = encode(state);
+        let mut bytes = encode_with(
+            self.design_hash,
+            self.config_hash,
+            self.generation + 1,
+            state,
+        );
         match fault {
             Some(FaultKind::CkptShortWrite) => {
                 // A torn write committed by a stray rename: half the file.
@@ -650,10 +614,14 @@ mod tests {
             design_hash: 0xdead_beef_cafe_f00d,
             config_hash: 0x0123_4567_89ab_cdef,
             generation: 3,
+            state: sample_loop_state(trace),
+        }
+    }
+
+    fn sample_loop_state(trace: Trace) -> LoopState {
+        LoopState {
             iteration: 5,
-            lambda: 0.125,
-            lambda_1: 0.033,
-            h: 0.66,
+            schedule: LambdaSchedule::restore(0.125, 0.033, 0.66),
             pi_prev: 27.0,
             cg_tol: 1e-5,
             recoveries: 1,
@@ -695,7 +663,10 @@ mod tests {
         let back = decode(&bytes).expect("decode");
         assert_eq!(st, back);
         // Exact bit patterns for every float.
-        assert_eq!(st.lower.xs()[1].to_bits(), back.lower.xs()[1].to_bits());
+        assert_eq!(
+            st.state.lower.xs()[1].to_bits(),
+            back.state.lower.xs()[1].to_bits()
+        );
     }
 
     #[test]
@@ -734,23 +705,25 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("state.ckpt");
         let cfg = CheckpointConfig::new(&path, 2);
-        let mut w = CheckpointWriter::new(&cfg, 0);
+        let mut w = CheckpointWriter::new(&cfg, 0, 7, 9);
         assert!(w.due(2) && w.due(4) && !w.due(3));
 
-        let mut st = sample_state();
-        st.generation = w.next_generation();
+        let mut st = sample_state().state;
         st.iteration = 2;
         w.write(&st, None).expect("first write");
-        st.generation = w.next_generation();
         st.iteration = 4;
         w.write(&st, None).expect("second write");
+        assert_eq!(w.generation(), 2);
 
         let (loaded, fallback) = load_checkpoint(&path).expect("load");
         assert!(!fallback);
-        assert_eq!(loaded.iteration, 4);
-        assert_eq!(loaded.generation, 2);
+        assert_eq!(loaded.state, st);
+        assert_eq!(
+            (loaded.design_hash, loaded.config_hash, loaded.generation),
+            (7, 9, 2)
+        );
         let (prev, _) = load_checkpoint(&prev_path(&path)).expect("load prev");
-        assert_eq!(prev.iteration, 2);
+        assert_eq!(prev.state.iteration, 2);
 
         // Corrupt the primary: the loader must fall back to .prev.
         let mut bytes = fs::read(&path).expect("read");
@@ -759,7 +732,7 @@ mod tests {
         fs::write(&path, &bytes).expect("corrupt");
         let (loaded, fallback) = load_checkpoint(&path).expect("fallback load");
         assert!(fallback);
-        assert_eq!(loaded.iteration, 2);
+        assert_eq!(loaded.state.iteration, 2);
 
         // Corrupt .prev too: now loading fails with the primary's error.
         fs::write(prev_path(&path), b"garbage").expect("corrupt prev");
@@ -773,15 +746,13 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("state.ckpt");
         let cfg = CheckpointConfig::new(&path, 1);
-        let mut w = CheckpointWriter::new(&cfg, 0);
-        let mut st = sample_state();
+        let mut w = CheckpointWriter::new(&cfg, 0, 7, 9);
+        let st = sample_state().state;
 
         // A good generation first.
-        st.generation = w.next_generation();
         w.write(&st, None).expect("clean write");
 
         // Short write: commits a truncated file; load falls back.
-        st.generation = w.next_generation();
         w.write(&st, Some(FaultKind::CkptShortWrite))
             .expect("short write still commits");
         let (_, fallback) = load_checkpoint(&path).expect("fallback");
@@ -793,7 +764,6 @@ mod tests {
         assert_eq!(fs::read(&path).expect("read"), before);
 
         // Corrupt-on-write: commits a checksum-failing file.
-        st.generation = w.next_generation();
         w.write(&st, Some(FaultKind::CkptCorrupt)).expect("commit");
         let bytes = fs::read(&path).expect("read");
         assert!(matches!(decode(&bytes), Err(CkptError::Checksum)));

@@ -26,12 +26,22 @@ pub enum StopReason {
     /// The wall-clock budget expired; the run exited gracefully through
     /// the best-iterate path.
     TimeBudget,
-    /// One or more numerical faults were detected and recovered during the
-    /// run; the returned placement is the best feasible iterate.
-    Recovered,
     /// An external [`complx_par::CancelToken`] tripped; the run exited
     /// gracefully through the best-iterate path, like a time budget.
     Cancelled,
+}
+
+impl StopReason {
+    /// Whether the loop ran to one of its own criteria (converged,
+    /// stagnated, iteration cap) rather than being cut short by the wall
+    /// clock or a cancel. Only complete runs are a deterministic function
+    /// of design and configuration, so only they may be cached.
+    pub fn is_complete(self) -> bool {
+        matches!(
+            self,
+            StopReason::Converged | StopReason::Stagnated | StopReason::IterationCap
+        )
+    }
 }
 
 impl fmt::Display for StopReason {
@@ -41,7 +51,6 @@ impl fmt::Display for StopReason {
             StopReason::Stagnated => "stagnated",
             StopReason::IterationCap => "iteration cap",
             StopReason::TimeBudget => "time budget",
-            StopReason::Recovered => "recovered",
             StopReason::Cancelled => "cancelled",
         };
         f.write_str(s)
@@ -276,10 +285,18 @@ mod tests {
             (StopReason::Stagnated, "stagnated"),
             (StopReason::IterationCap, "iteration cap"),
             (StopReason::TimeBudget, "time budget"),
-            (StopReason::Recovered, "recovered"),
             (StopReason::Cancelled, "cancelled"),
         ] {
             assert_eq!(r.to_string(), s);
         }
+    }
+
+    #[test]
+    fn only_self_terminated_runs_are_complete() {
+        assert!(StopReason::Converged.is_complete());
+        assert!(StopReason::Stagnated.is_complete());
+        assert!(StopReason::IterationCap.is_complete());
+        assert!(!StopReason::TimeBudget.is_complete());
+        assert!(!StopReason::Cancelled.is_complete());
     }
 }

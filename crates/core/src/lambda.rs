@@ -64,17 +64,26 @@ impl LambdaSchedule {
         self.h
     }
 
-    /// Rebuilds a schedule from previously captured state — the checkpoint
-    /// restore path. `inverse_ratio` defaults off; apply
-    /// [`Self::with_inverse_ratio`] afterwards as the original run did.
-    pub fn restore(mode: LambdaMode, lambda: f64, lambda_1: f64, h: f64) -> Self {
+    /// Rebuilds a schedule from previously captured state (λ, λ₁, h) — the
+    /// checkpoint restore path. The update rule is configuration, not
+    /// state: it starts as the default mode without the inverse ratio;
+    /// apply [`Self::with_mode`] and [`Self::with_inverse_ratio`] as the
+    /// original run did.
+    pub fn restore(lambda: f64, lambda_1: f64, h: f64) -> Self {
         Self {
-            mode,
+            mode: LambdaMode::default(),
             lambda,
             lambda_1,
             h,
             inverse_ratio: false,
         }
+    }
+
+    /// Replaces the update rule, keeping the captured state.
+    #[must_use]
+    pub fn with_mode(mut self, mode: LambdaMode) -> Self {
+        self.mode = mode;
+        self
     }
 
     /// Scales the current multiplier by `factor` (the divergence-recovery
@@ -182,15 +191,13 @@ mod tests {
 
     #[test]
     fn restore_reproduces_advance_sequence() {
-        let mut original = LambdaSchedule::new(LambdaMode::default(), 100.0, 5000.0, 10.0);
+        let mode = LambdaMode::Geometric { ratio: 1.5 };
+        let mut original = LambdaSchedule::new(mode, 100.0, 5000.0, 10.0);
         original.advance(10.0, 7.0);
         original.advance(7.0, 3.0);
-        let mut restored = LambdaSchedule::restore(
-            LambdaMode::default(),
-            original.lambda(),
-            original.lambda_1(),
-            original.h(),
-        );
+        let mut restored =
+            LambdaSchedule::restore(original.lambda(), original.lambda_1(), original.h())
+                .with_mode(mode);
         original.advance(3.0, 2.0);
         restored.advance(3.0, 2.0);
         assert_eq!(original.lambda().to_bits(), restored.lambda().to_bits());

@@ -71,7 +71,7 @@ pub use faults::{FaultInjection, FaultKind, FaultPlan};
 pub use idhash::{config_hash, design_hash};
 pub use lambda::LambdaSchedule;
 pub use metrics::PlacementMetrics;
-pub use placer::{ComplxPlacer, PlacementOutcome};
+pub use placer::{ComplxPlacer, LoopState, PlacementOutcome};
 pub use report::{attach_extra, run_report};
 pub use service::{solve, SolveArtifacts, SolveRequest};
 pub use solves::{SolveRecord, SolverTotals};

@@ -1,4 +1,9 @@
 //! The ComPLx primal-dual placement loop.
+//!
+//! A run has three parts: bootstrap at λ = 0 (or restore a checkpoint)
+//! into a [`LoopState`], advance it one `step` — primal step, projection
+//! `P_C`, λ update — until the loop stops, then finish by legalizing and
+//! detail-placing the best feasible iterate.
 
 use std::time::{Duration, Instant};
 
@@ -12,7 +17,7 @@ use complx_wirelength::{
     Anchors, BetaRegModel, InterconnectModel, LseModel, PNormModel, QuadraticModel,
 };
 
-use complx_obs as obs;
+use complx_obs::{self as obs, JsonValue};
 
 use crate::budget::Budget;
 use crate::ckpt::{self, CheckpointState, CheckpointWriter};
@@ -45,13 +50,14 @@ pub struct PlacementOutcome {
     pub iterations: usize,
     /// Final λ value (Figure 3 / Section S3).
     pub final_lambda: f64,
-    /// Whether a convergence criterion fired (vs. the iteration cap).
+    /// Whether the loop stopped on a convergence criterion
+    /// ([`StopReason::Converged`] or [`StopReason::Stagnated`]).
     pub converged: bool,
     /// Why the primal-dual loop stopped iterating.
     pub stop_reason: StopReason,
     /// Number of divergence recoveries executed during the run (`0` for a
-    /// clean run; when non-zero, [`Self::stop_reason`] is
-    /// [`StopReason::Recovered`]).
+    /// clean run). A count, not a stop reason: [`Self::stop_reason`] still
+    /// says why the loop ended.
     pub recoveries: usize,
     /// Wall-clock seconds in global placement.
     pub global_seconds: f64,
@@ -67,6 +73,53 @@ impl PlacementOutcome {
     pub fn solver_totals(&self) -> SolverTotals {
         SolverTotals::from_records(&self.solves)
     }
+}
+
+/// Everything the λ loop carries from one iteration to the next: the whole
+/// mutable state of a run and, as is, the checkpoint payload (see
+/// [`crate::ckpt`]). The λ = 0 bootstrap builds it for a fresh run and
+/// checkpoint decoding for a resumed one; each loop step advances it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopState {
+    /// The last λ-loop iteration started (`0` after the bootstrap); the
+    /// next step runs `iteration + 1`.
+    pub iteration: usize,
+    /// The λ schedule (λ, λ₁, h), already advanced for the next iteration.
+    /// A decoded schedule carries the default update rule until
+    /// [`ComplxPlacer::resume`] rebinds it to the configuration.
+    pub schedule: LambdaSchedule,
+    /// The penalty `Π_k` the next advance compares against.
+    pub pi_prev: f64,
+    /// Current CG tolerance (tightened by each divergence recovery).
+    pub cg_tol: f64,
+    /// Divergence recoveries executed so far.
+    pub recoveries: usize,
+    /// Iterations since the best feasible iterate last improved.
+    pub stale: usize,
+    /// HPWL of the best feasible iterate.
+    pub best_phi_upper: f64,
+    /// λ used by the last iteration started (for reporting).
+    pub final_lambda: f64,
+    /// The lower-bound (analytic) iterate.
+    pub lower: Placement,
+    /// The upper-bound (feasible) iterate — next iteration's anchors.
+    pub upper: Placement,
+    /// The best feasible iterate seen so far (SimPL's "upper-bound
+    /// placement"; Section 4 reads the result off a feasible iterate, so
+    /// keeping the best one means extra iterations never hurt).
+    pub best_upper: Placement,
+    /// The convergence trace accumulated so far.
+    pub trace: Trace,
+    /// The solver records accumulated so far.
+    pub solves: Vec<SolveRecord>,
+}
+
+/// What one loop step tells the driver.
+enum Step {
+    /// Run the next iteration.
+    Continue,
+    /// The loop is done.
+    Stop(StopReason),
 }
 
 /// The ComPLx global placer. See the crate docs for the algorithm.
@@ -123,8 +176,8 @@ impl ComplxPlacer {
 
     /// Resumes a run from a checkpoint captured by a previous (killed or
     /// cancelled) run with the same design and configuration, continuing
-    /// at `state.iteration + 1`. The final placement is byte-identical to
-    /// the uninterrupted run's, for any thread count.
+    /// at `checkpoint.state.iteration + 1`. The final placement is
+    /// byte-identical to the uninterrupted run's, for any thread count.
     ///
     /// Criticality-weighted runs are not resumable: the checkpoint does
     /// not capture the criticality factors (see
@@ -139,36 +192,31 @@ impl ComplxPlacer {
     pub fn resume(
         &self,
         design: &Design,
-        state: CheckpointState,
+        checkpoint: CheckpointState,
     ) -> Result<PlacementOutcome, PlaceError> {
+        let mismatch = |reason: String| Err(PlaceError::CheckpointMismatch { reason });
         let dh = ckpt::design_hash(design);
-        if dh != state.design_hash {
-            return Err(PlaceError::CheckpointMismatch {
-                reason: format!(
-                    "design hash {dh:#018x} does not match checkpoint {:#018x}",
-                    state.design_hash
-                ),
-            });
+        if dh != checkpoint.design_hash {
+            return mismatch(format!(
+                "design hash {dh:#018x} does not match checkpoint {:#018x}",
+                checkpoint.design_hash
+            ));
         }
         let ch = ckpt::config_hash(&self.config);
-        if ch != state.config_hash {
-            return Err(PlaceError::CheckpointMismatch {
-                reason: format!(
-                    "config hash {ch:#018x} does not match checkpoint {:#018x}",
-                    state.config_hash
-                ),
-            });
+        if ch != checkpoint.config_hash {
+            return mismatch(format!(
+                "config hash {ch:#018x} does not match checkpoint {:#018x}",
+                checkpoint.config_hash
+            ));
         }
-        if state.lower.len() != design.num_cells() {
-            return Err(PlaceError::CheckpointMismatch {
-                reason: format!(
-                    "checkpoint holds {} cells for a {}-cell design",
-                    state.lower.len(),
-                    design.num_cells()
-                ),
-            });
+        let cells = checkpoint.state.lower.len();
+        if cells != design.num_cells() {
+            return mismatch(format!(
+                "checkpoint holds {cells} cells for a {}-cell design",
+                design.num_cells()
+            ));
         }
-        self.run(design, None, Some(state))
+        self.run(design, None, Some(checkpoint))
     }
 
     /// Places a design with per-cell criticality factors `γ_i` weighing the
@@ -189,9 +237,9 @@ impl ComplxPlacer {
     }
 
     /// The shared engine behind [`Self::place`],
-    /// [`Self::place_with_criticality`], and [`Self::resume`]: a fresh run
-    /// bootstraps at λ = 0, a resumed run restores the checkpointed loop
-    /// state and continues at the next iteration.
+    /// [`Self::place_with_criticality`], and [`Self::resume`]: validate
+    /// and set up, bootstrap or restore the loop state, step it until it
+    /// stops, then finish.
     fn run(
         &self,
         design: &Design,
@@ -225,513 +273,479 @@ impl ComplxPlacer {
             Some(s) => Some(t_global + Duration::from_secs_f64(s)),
             None => None,
         };
-        // Deadline ∪ external cancellation, polled at every safe point;
-        // the token additionally reaches the cancellable kernels.
-        let budget = Budget::new(deadline, self.cancel.clone());
+        // Periodic crash-safe checkpointing. Disabled for
+        // criticality-weighted runs: the checkpoint does not capture the
+        // criticality factors, so a resume could not reproduce them.
+        let writer = match (&cfg.checkpoint, criticality) {
+            (Some(c), None) => Some(CheckpointWriter::new(
+                c,
+                resume.as_ref().map_or(0, |r| r.generation),
+                ckpt::design_hash(design),
+                ckpt::config_hash(cfg),
+            )),
+            _ => None,
+        };
+        let mut run = Run::new(self, design, criticality, deadline, writer);
 
-        // The CG tolerance is recovery-state: each divergence recovery
-        // tightens it (sloppier solves are a prime source of breakdowns),
-        // so the model is rebuilt from the current value.
-        let make_model = |cg_tol: f64| -> Box<dyn InterconnectModel> {
-            match cfg.interconnect {
-                Interconnect::Quadratic(net_model) => Box::new(
-                    QuadraticModel::new(net_model).with_solver(
-                        CgSolver::new()
-                            .with_tolerance(cg_tol)
-                            .with_max_iterations(cfg.cg_max_iterations),
-                    ),
-                ),
-                Interconnect::LogSumExp { gamma_rows } => {
-                    Box::new(LseModel::new().with_gamma_rows(gamma_rows))
-                }
-                Interconnect::BetaRegularized { beta_rows2 } => {
-                    Box::new(BetaRegModel::new().with_beta_rows2(beta_rows2))
-                }
-                Interconnect::PNorm { p } => Box::new(PNormModel::new().with_p(p)),
+        let (mut st, mut next) = match resume {
+            Some(checkpoint) => (run.restore(checkpoint), Step::Continue),
+            None => run.bootstrap()?,
+        };
+        let stop_reason = loop {
+            match next {
+                Step::Continue => next = run.step(&mut st)?,
+                Step::Stop(reason) => break reason,
             }
         };
-        let mut cg_tol = cfg.cg_tolerance;
-        let mut model = make_model(cg_tol);
-        let mut armed = FaultArming::new(cfg.faults.as_ref());
-        // The paper treats `P_C` as a black box; the backend is picked at
-        // runtime behind the object-safe `Projection` trait.
+
+        let global_seconds = t_global.elapsed().as_secs_f64();
+        Ok(run.finalize(st, stop_reason, global_seconds))
+    }
+}
+
+/// A run's fixed context around the [`LoopState`] it advances: inputs,
+/// stop budget, projection backend, interconnect model, fault arming and
+/// checkpoint writer. None of it is checkpointed — a resumed run rebuilds
+/// it from the same inputs.
+struct Run<'a> {
+    design: &'a Design,
+    cfg: &'a PlacerConfig,
+    criticality: Option<&'a [f64]>,
+    /// Deadline ∪ external cancellation, polled at every safe point; the
+    /// token additionally reaches the cancellable kernels.
+    budget: Budget,
+    /// The paper treats `P_C` as a black box; the backend is picked at
+    /// runtime behind the object-safe `Projection` trait.
+    projection: Box<dyn Projection>,
+    /// The projection's finest useful grid resolution.
+    adaptive: usize,
+    model: Box<dyn InterconnectModel>,
+    armed: FaultArming,
+    writer: Option<CheckpointWriter>,
+    /// Per-cell λ factor: the per-macro scale of Section 5 for movable
+    /// cells, 0 for fixed ones.
+    lambda_scale: Vec<f64>,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        placer: &'a ComplxPlacer,
+        design: &'a Design,
+        criticality: Option<&'a [f64]>,
+        deadline: Option<Instant>,
+        writer: Option<CheckpointWriter>,
+    ) -> Self {
+        let cfg = &placer.config;
         let projection: Box<dyn Projection> = match cfg.projection {
             ProjectionBackend::Geometric => Box::new(FeasibilityProjection {
                 shred_macros: cfg.shred_macros,
                 cells_per_bin: cfg.cells_per_bin,
-                cancel: self.cancel.clone(),
+                cancel: placer.cancel.clone(),
                 ..FeasibilityProjection::default()
             }),
             ProjectionBackend::Electro => Box::new(ElectroProjection {
                 cells_per_bin: cfg.cells_per_bin,
-                cancel: self.cancel.clone(),
+                cancel: placer.cancel.clone(),
                 ..ElectroProjection::default()
             }),
         };
-        let adaptive = projection.adaptive_bins(design);
+        let mean_std = design.mean_std_cell_area().max(f64::MIN_POSITIVE);
+        let lambda_scale = design
+            .cell_ids()
+            .map(|id| {
+                let cell = design.cell(id);
+                if !cell.is_movable() {
+                    0.0
+                } else if cfg.per_macro_lambda && cell.kind() == CellKind::MovableMacro {
+                    (cell.area() / mean_std).max(1.0)
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        Self {
+            design,
+            cfg,
+            criticality,
+            budget: Budget::new(deadline, placer.cancel.clone()),
+            adaptive: projection.adaptive_bins(design),
+            projection,
+            model: interconnect_model(cfg, cfg.cg_tolerance),
+            armed: FaultArming::new(cfg.faults.as_ref()),
+            writer,
+            lambda_scale,
+        }
+    }
 
-        // Periodic crash-safe checkpointing. Disabled for
-        // criticality-weighted runs: the checkpoint does not capture the
-        // criticality factors, so a resume could not reproduce them.
-        let mut ckpt_writer = match (&cfg.checkpoint, criticality) {
-            (Some(c), None) => Some(CheckpointWriter::new(
-                c,
-                resume.as_ref().map_or(0, |s| s.generation),
-            )),
-            _ => None,
-        };
-        let hashes = ckpt_writer
-            .as_ref()
-            .map(|_| (ckpt::design_hash(design), ckpt::config_hash(cfg)));
-
-        // Per-macro λ scale factors (Section 5).
-        let macro_scale: Vec<f64> = {
-            let mean_std = design.mean_std_cell_area().max(f64::MIN_POSITIVE);
-            design
-                .cell_ids()
-                .map(|id| {
-                    let cell = design.cell(id);
-                    if cfg.per_macro_lambda && cell.kind() == CellKind::MovableMacro {
-                        (cell.area() / mean_std).max(1.0)
-                    } else {
-                        1.0
-                    }
-                })
-                .collect()
-        };
-        let crit = |i: usize| criticality.map_or(1.0, |c| c[i]);
-
-        // Mutable loop state — born in the bootstrap for a fresh run,
-        // restored verbatim from the checkpoint for a resumed one.
-        let mut solves: Vec<SolveRecord>;
-        let mut trace: Trace;
-        let mut lower: Placement;
-        let mut upper: Placement;
-        let mut best_upper: Placement;
-        let mut best_phi_upper: f64;
-        let mut pi_prev: f64;
-        let mut converged: bool;
-        let mut iterations: usize;
-        let mut final_lambda: f64;
-        let mut recoveries: usize;
-        let mut stale: usize;
-        let mut stop_reason: StopReason;
-        let schedule_init: Option<LambdaSchedule>;
-        let start_k: usize;
-
-        if let Some(st) = resume {
-            // Faults scheduled inside the killed run's lifetime already
-            // fired (or died with it) — only future ones stay armed.
-            armed.discard_through(st.iteration);
-            cg_tol = st.cg_tol;
-            model = make_model(cg_tol);
-            solves = st.solves;
-            trace = st.trace;
-            lower = st.lower;
-            upper = st.upper;
-            best_upper = st.best_upper;
-            best_phi_upper = st.best_phi_upper;
-            pi_prev = st.pi_prev;
-            converged = false;
-            iterations = st.iteration;
-            final_lambda = st.final_lambda;
-            recoveries = st.recoveries;
-            stale = st.stale;
-            stop_reason = StopReason::IterationCap;
-            schedule_init = Some(
-                LambdaSchedule::restore(cfg.lambda_mode, st.lambda, st.lambda_1, st.h)
-                    .with_inverse_ratio(cfg.lambda_inverse_ratio),
+    /// The λ = 0 bootstrap: unconstrained quadratic placement — a few
+    /// passes let the B2B linearization settle — then the first
+    /// projection. A breakdown here is fatal: no feasible iterate exists
+    /// yet to degrade to. The loop stops before it starts when the design
+    /// is already feasible or the projection left nothing to optimize.
+    fn bootstrap(&mut self) -> Result<(LoopState, Step), PlaceError> {
+        let (design, cfg) = (self.design, self.cfg);
+        let _bootstrap_span = obs::span("bootstrap");
+        let mut solves = Vec::new();
+        let mut lower = design.initial_placement();
+        for _ in 0..3 {
+            let stats = self.model.minimize_with_cancel(
+                design,
+                &mut lower,
+                None,
+                self.budget.cancel_token(),
             );
-            start_k = st.iteration + 1;
-            obs::add("ckpt.resumes", 1);
-            if obs::enabled() {
+            solves.push(SolveRecord::from_stats(0, &stats));
+            if stats.breakdown {
+                return Err(PlaceError::SolverBreakdown {
+                    iteration: 0,
+                    detail: "CG breakdown in the λ = 0 bootstrap solve".into(),
+                });
+            }
+            if !placement_is_finite(design, &lower) {
+                return Err(PlaceError::SolverBreakdown {
+                    iteration: 0,
+                    detail: "non-finite iterate out of the λ = 0 bootstrap solve".into(),
+                });
+            }
+            if let Some(reason) = self.budget.stop() {
+                // No projection has run yet, so there is no feasible
+                // placement to exit gracefully with.
+                return Err(match reason {
+                    StopReason::Cancelled => PlaceError::Cancelled,
+                    _ => PlaceError::TimedOut {
+                        budget_seconds: cfg.time_budget.unwrap_or(0.0),
+                    },
+                });
+            }
+        }
+
+        let boot =
+            self.projection
+                .project_with_bins(design, &lower, cfg.grid.bins_at(0, self.adaptive));
+        let phi0 = hpwl::weighted_hpwl(design, &lower);
+        let phi_upper = hpwl::weighted_hpwl(design, &boot.placement);
+        let pi = boot.distance_l1;
+        let mut trace = Trace::new();
+        trace.push(IterationRecord {
+            iteration: 0,
+            lambda: 0.0,
+            phi_lower: phi0,
+            phi_upper,
+            pi,
+            lagrangian: phi0,
+            overflow: boot.overflow_before,
+            bins: boot.bins_used,
+        });
+        let feasible = boot.overflow_before < cfg.overflow_tolerance;
+        let (schedule, next) = if !feasible && pi > 0.0 && phi0 > 0.0 {
+            let schedule = LambdaSchedule::new(cfg.lambda_mode, cfg.lambda_init_divisor, phi0, pi)
+                .with_inverse_ratio(cfg.lambda_inverse_ratio);
+            (schedule, Step::Continue)
+        } else {
+            // λ stays 0: the loop never runs.
+            let zero = LambdaSchedule::restore(0.0, 0.0, 0.0);
+            (zero, Step::Stop(StopReason::Converged))
+        };
+        let st = LoopState {
+            iteration: 0,
+            schedule,
+            pi_prev: pi,
+            cg_tol: cfg.cg_tolerance,
+            recoveries: 0,
+            stale: 0,
+            best_phi_upper: phi_upper,
+            final_lambda: 0.0,
+            lower,
+            upper: boot.placement.clone(),
+            best_upper: boot.placement,
+            trace,
+            solves,
+        };
+        Ok((st, next))
+    }
+
+    /// Rebinds a decoded checkpoint to this run: the schedule takes the
+    /// configured update rule, the model the checkpointed CG tolerance,
+    /// and faults scheduled inside the killed run's lifetime — which
+    /// already fired or died with it — are disarmed.
+    fn restore(&mut self, checkpoint: CheckpointState) -> LoopState {
+        let mut st = checkpoint.state;
+        st.schedule = st
+            .schedule
+            .with_mode(self.cfg.lambda_mode)
+            .with_inverse_ratio(self.cfg.lambda_inverse_ratio);
+        self.model = interconnect_model(self.cfg, st.cg_tol);
+        self.armed.discard_through(st.iteration);
+        obs::add("ckpt.resumes", 1);
+        obs::event(
+            "resume",
+            JsonValue::object(vec![
+                ("iteration", st.iteration.into()),
+                ("generation", checkpoint.generation.into()),
+            ]),
+        );
+        st
+    }
+
+    /// One λ-loop iteration (Formulas 4, 8 and 12): the primal step, the
+    /// projection `P_C`, the convergence tests, the λ update and the
+    /// periodic checkpoint. A faulted iteration goes to [`Self::recover`].
+    fn step(&mut self, st: &mut LoopState) -> Result<Step, PlaceError> {
+        let (design, cfg) = (self.design, self.cfg);
+        let k = st.iteration + 1;
+        if k > cfg.max_iterations {
+            return Ok(Step::Stop(StopReason::IterationCap));
+        }
+        if let Some(reason) = self.budget.stop() {
+            return Ok(Step::Stop(reason));
+        }
+        if self.armed.take(k, FaultKind::Kill) {
+            // Simulated crash: surface exactly what an external SIGKILL
+            // would leave behind — committed checkpoints on disk, nothing
+            // else.
+            return Err(PlaceError::Killed { iteration: k });
+        }
+        let _iter_span = obs::span("iteration");
+        obs::add("place.iterations", 1);
+        st.iteration = k;
+        let lambda = st.schedule.lambda();
+        st.final_lambda = lambda;
+
+        // Snapshot for rollback: if this iteration faults, the recovery
+        // policy restores the last good iterates.
+        let lower_prev = st.lower.clone();
+
+        // Primal step: minimize Φ + λ‖·−(x°,y°)‖₁ (linearized).
+        let lambdas: Vec<f64> = self
+            .lambda_scale
+            .iter()
+            .enumerate()
+            .map(|(i, scale)| lambda * scale * self.criticality.map_or(1.0, |c| c[i]))
+            .collect();
+        let anchors =
+            Anchors::per_cell(design, st.upper.clone(), lambdas, 1.5 * design.row_height());
+        let stats = self.model.minimize_with_cancel(
+            design,
+            &mut st.lower,
+            Some(&anchors),
+            self.budget.cancel_token(),
+        );
+        let solve = SolveRecord::from_stats(k, &stats);
+        st.solves.push(solve);
+
+        // A cancel (or deadline) that tripped inside the solve left a
+        // half-converged iterate; discard it and exit with the snapshot so
+        // the reported lower bound stays meaningful.
+        if let Some(reason) = self.budget.stop() {
+            st.lower = lower_prev;
+            return Ok(Step::Stop(reason));
+        }
+
+        let proj = match self.dual_step(st, stats.breakdown) {
+            Ok(proj) => proj,
+            Err(detail) => return self.recover(st, lower_prev, detail),
+        };
+
+        let phi_lower = hpwl::weighted_hpwl(design, &st.lower);
+        let phi_upper = hpwl::weighted_hpwl(design, &st.upper);
+        let pi = st.lower.l1_distance(&st.upper);
+        if phi_upper < st.best_phi_upper && proj.overflow_after < 0.25 {
+            st.best_phi_upper = phi_upper;
+            st.best_upper = st.upper.clone();
+            st.stale = 0;
+        } else {
+            st.stale += 1;
+        }
+
+        let rec = IterationRecord {
+            iteration: k,
+            lambda,
+            phi_lower,
+            phi_upper,
+            pi,
+            lagrangian: phi_lower + lambda * pi,
+            overflow: proj.overflow_before,
+            // The grid the projection actually used (the electro backend
+            // rounds the request to a power of two).
+            bins: proj.bins_used,
+        };
+        st.trace.push(rec);
+        if obs::enabled() {
+            obs::event(
+                "iteration",
+                rec.to_json_with(vec![
+                    ("cg_iterations_x", solve.iterations_x.into()),
+                    ("cg_iterations_y", solve.iterations_y.into()),
+                    ("relative_residual", solve.relative_residual.into()),
+                ]),
+            );
+        }
+
+        // Convergence (Section 4): the relative duality gap or the overflow
+        // of the analytic iterate; additionally stop when the best feasible
+        // iterate has stagnated — more iterations cannot improve the result
+        // that detailed placement uses.
+        if proj.overflow_before < cfg.overflow_tolerance
+            || (k >= 3 && rec.relative_gap() < cfg.gap_tolerance)
+        {
+            return Ok(Step::Stop(StopReason::Converged));
+        }
+        if k >= 10 && st.stale >= cfg.stagnation_window {
+            return Ok(Step::Stop(StopReason::Stagnated));
+        }
+
+        st.schedule.advance(st.pi_prev, pi);
+        st.pi_prev = pi;
+        self.checkpoint(st);
+        Ok(Step::Continue)
+    }
+
+    /// The dual step: screen the primal iterate for faults, project it
+    /// with `P_C` — with routability-driven inflation when configured
+    /// (SimPLR-lite) — and optionally refine with the detailed placer (the
+    /// "P_C += FastPlace-DP" configuration). Injected faults flow through
+    /// the same checks as real numerical failures; `Err` describes the
+    /// fault.
+    fn dual_step(
+        &mut self,
+        st: &mut LoopState,
+        breakdown: bool,
+    ) -> Result<ProjectionResult, String> {
+        let (design, cfg, k) = (self.design, self.cfg, st.iteration);
+        if self.armed.take(k, FaultKind::NanGradient) {
+            poison(&mut st.lower, design);
+        }
+        if self.armed.take(k, FaultKind::CgStall) {
+            return Err(FaultKind::CgStall.describe().into());
+        }
+        if breakdown {
+            return Err("CG breakdown in primal solve".into());
+        }
+        if !placement_is_finite(design, &st.lower) {
+            return Err("non-finite lower-bound iterate after primal step".into());
+        }
+
+        let bins = cfg.grid.bins_at(k, self.adaptive);
+        let proj = match &cfg.routability {
+            Some(r) => {
+                let cbins = if r.grid_bins == 0 { bins } else { r.grid_bins };
+                let map = CongestionMap::build(design, &st.lower, cbins, cbins, r.supply);
+                let factors = map.inflation_factors(design, &st.lower, r.alpha, r.max_inflation);
+                self.projection
+                    .project_with_bins_inflated(design, &st.lower, bins, Some(&factors))
+            }
+            None => self.projection.project_with_bins(design, &st.lower, bins),
+        };
+        st.upper = proj.placement.clone();
+        if self.armed.take(k, FaultKind::ProjectionStall) {
+            poison(&mut st.upper, design);
+        }
+        if !placement_is_finite(design, &st.upper) {
+            return Err("non-finite feasible iterate after projection".into());
+        }
+        if cfg.detail_each_iteration {
+            let legalized = Legalizer::default().legalize(design, &st.upper);
+            st.upper = DetailedPlacer {
+                max_passes: 1,
+                ..DetailedPlacer::default()
+            }
+            .improve(design, legalized.placement)
+            .placement;
+        }
+        Ok(proj)
+    }
+
+    /// The recovery policy for a faulted iteration: restore the last good
+    /// iterates, back λ off (an overgrown penalty is the usual culprit),
+    /// tighten the CG tolerance, and go on with the next iteration — or
+    /// give up with [`PlaceError::Diverged`] once the budget is spent.
+    fn recover(
+        &mut self,
+        st: &mut LoopState,
+        lower_prev: Placement,
+        detail: String,
+    ) -> Result<Step, PlaceError> {
+        st.recoveries += 1;
+        obs::add("place.recoveries", 1);
+        obs::event(
+            "recovery",
+            JsonValue::object(vec![
+                ("iteration", st.iteration.into()),
+                ("recoveries", st.recoveries.into()),
+                ("detail", detail.as_str().into()),
+            ]),
+        );
+        if st.recoveries > self.cfg.max_recoveries {
+            return Err(PlaceError::Diverged {
+                iteration: st.iteration,
+                recoveries: st.recoveries - 1,
+                best: Some(Box::new(std::mem::take(&mut st.best_upper))),
+                detail,
+            });
+        }
+        st.lower = lower_prev;
+        st.upper = st.best_upper.clone();
+        st.schedule.scale(0.5);
+        st.cg_tol = (st.cg_tol * 0.1).max(1e-12);
+        self.model = interconnect_model(self.cfg, st.cg_tol);
+        Ok(Step::Continue)
+    }
+
+    /// Periodic checkpoint at the loop bottom, where the state is exactly
+    /// "iteration k done, schedule advanced" — the precondition
+    /// [`ComplxPlacer::resume`] restores. Best effort: an I/O failure is
+    /// counted, not fatal.
+    fn checkpoint(&mut self, st: &LoopState) {
+        let k = st.iteration;
+        let Some(w) = self.writer.as_mut().filter(|w| w.due(k)) else {
+            return;
+        };
+        let _ckpt_span = obs::span("checkpoint");
+        match w.write(st, self.armed.take_io_fault(k)) {
+            Ok(bytes) => {
+                obs::add("ckpt.writes", 1);
+                obs::add("ckpt.bytes", bytes);
                 obs::event(
-                    "resume",
-                    obs::JsonValue::object(vec![
-                        ("iteration", (st.iteration as i64).into()),
-                        ("generation", (st.generation as i64).into()),
+                    "checkpoint",
+                    JsonValue::object(vec![
+                        ("iteration", k.into()),
+                        ("bytes", bytes.into()),
+                        ("generation", w.generation().into()),
                     ]),
                 );
             }
-        } else {
-            // Bootstrap: unconstrained quadratic placement (λ = 0). A few
-            // passes let the B2B linearization settle. A breakdown here is
-            // fatal — no feasible iterate exists yet to degrade to.
-            solves = Vec::new();
-            let bootstrap_span = obs::span("bootstrap");
-            lower = design.initial_placement();
-            for _ in 0..3 {
-                let stats =
-                    model.minimize_with_cancel(design, &mut lower, None, budget.cancel_token());
-                solves.push(SolveRecord::from_stats(0, &stats));
-                if stats.breakdown {
-                    return Err(PlaceError::SolverBreakdown {
-                        iteration: 0,
-                        detail: "CG breakdown in the λ = 0 bootstrap solve".into(),
-                    });
-                }
-                if !placement_is_finite(design, &lower) {
-                    return Err(PlaceError::SolverBreakdown {
-                        iteration: 0,
-                        detail: "non-finite iterate out of the λ = 0 bootstrap solve".into(),
-                    });
-                }
-                if let Some(reason) = budget.stop() {
-                    // No projection has run yet, so there is no feasible
-                    // placement to exit gracefully with.
-                    return Err(match reason {
-                        StopReason::Cancelled => PlaceError::Cancelled,
-                        _ => PlaceError::TimedOut {
-                            budget_seconds: cfg.time_budget.unwrap_or(0.0),
-                        },
-                    });
-                }
-            }
-
-            trace = Trace::new();
-            let boot = projection.project_with_bins(design, &lower, cfg.grid.bins_at(0, adaptive));
-            drop(bootstrap_span);
-            upper = boot.placement.clone();
-            let phi0 = hpwl::weighted_hpwl(design, &lower);
-            pi_prev = boot.distance_l1;
-
-            trace.push(IterationRecord {
-                iteration: 0,
-                lambda: 0.0,
-                phi_lower: phi0,
-                phi_upper: hpwl::weighted_hpwl(design, &upper),
-                pi: pi_prev,
-                lagrangian: phi0,
-                overflow: boot.overflow_before,
-                bins: boot.bins_used,
-            });
-
-            converged = boot.overflow_before < cfg.overflow_tolerance;
-            iterations = 0;
-            final_lambda = 0.0;
-            recoveries = 0;
-            // A run that never enters the λ loop — already feasible, or the
-            // bootstrap projection left nothing to optimize — is converged.
-            // Entering the loop flips this to IterationCap, which then
-            // stands only if no break fires before `max_iterations`.
-            stop_reason = StopReason::Converged;
-            // Best feasible iterate seen so far (SimPL's "upper-bound
-            // placement"; Section 4 reads the result off a feasible
-            // iterate, so keeping the best one means extra iterations never
-            // hurt).
-            best_upper = upper.clone();
-            best_phi_upper = hpwl::weighted_hpwl(design, &upper);
-            stale = 0;
-            schedule_init = if !converged && pi_prev > 0.0 && phi0 > 0.0 {
-                Some(
-                    LambdaSchedule::new(cfg.lambda_mode, cfg.lambda_init_divisor, phi0, pi_prev)
-                        .with_inverse_ratio(cfg.lambda_inverse_ratio),
-                )
-            } else {
-                None
-            };
-            start_k = 1;
-        }
-
-        if let Some(mut schedule) = schedule_init {
-            stop_reason = StopReason::IterationCap;
-            for k in start_k..=cfg.max_iterations {
-                if let Some(reason) = budget.stop() {
-                    stop_reason = reason;
-                    break;
-                }
-                if armed.take(k, FaultKind::Kill) {
-                    // Simulated crash: surface exactly what an external
-                    // SIGKILL would leave behind — committed checkpoints on
-                    // disk, nothing else.
-                    return Err(PlaceError::Killed { iteration: k });
-                }
-                let _iter_span = obs::span("iteration");
-                obs::add("place.iterations", 1);
-                iterations = k;
-                let lambda = schedule.lambda();
-                final_lambda = lambda;
-
-                // Snapshot for rollback: if this iteration faults, the
-                // recovery policy restores the last good iterates.
-                let lower_prev = lower.clone();
-
-                // Primal step: minimize Φ + λ‖·−(x°,y°)‖₁ (linearized).
-                let lambdas: Vec<f64> = (0..design.num_cells())
-                    .map(|i| {
-                        if design
-                            .cell(complx_netlist::CellId::from_index(i))
-                            .is_movable()
-                        {
-                            lambda * macro_scale[i] * crit(i)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let anchors =
-                    Anchors::per_cell(design, upper.clone(), lambdas, 1.5 * design.row_height());
-                let mstats = model.minimize_with_cancel(
-                    design,
-                    &mut lower,
-                    Some(&anchors),
-                    budget.cancel_token(),
+            Err(e) => {
+                obs::add("ckpt.errors", 1);
+                obs::event(
+                    "checkpoint_error",
+                    JsonValue::object(vec![
+                        ("iteration", k.into()),
+                        ("error", e.to_string().into()),
+                    ]),
                 );
-                solves.push(SolveRecord::from_stats(k, &mstats));
-
-                // A cancel (or deadline) that tripped inside the solve left
-                // a half-converged iterate; discard it and exit with the
-                // snapshot so the reported lower bound stays meaningful.
-                if let Some(reason) = budget.stop() {
-                    lower = lower_prev;
-                    stop_reason = reason;
-                    break;
-                }
-
-                // Fault detection (injected faults flow through the same
-                // checks as real numerical failures).
-                if armed.take(k, FaultKind::NanGradient) {
-                    poison(&mut lower, design);
-                }
-                let cg_stall = armed.take(k, FaultKind::CgStall);
-                let mut fault: Option<String> = if mstats.breakdown || cg_stall {
-                    Some(if cg_stall {
-                        FaultKind::CgStall.describe().into()
-                    } else {
-                        "CG breakdown in primal solve".into()
-                    })
-                } else if !placement_is_finite(design, &lower) {
-                    Some("non-finite lower-bound iterate after primal step".into())
-                } else {
-                    None
-                };
-
-                // Dual step: project — with routability-driven inflation
-                // when configured (SimPLR-lite) — and optionally refine with
-                // the detailed placer (the "P_C += FastPlace-DP"
-                // configuration). Skipped when the primal step already
-                // faulted: projecting a poisoned iterate is meaningless.
-                let bins = cfg.grid.bins_at(k, adaptive);
-                let mut proj_result: Option<ProjectionResult> = None;
-                if fault.is_none() {
-                    let proj = match &cfg.routability {
-                        Some(r) => {
-                            let cbins = if r.grid_bins == 0 { bins } else { r.grid_bins };
-                            let map = CongestionMap::build(design, &lower, cbins, cbins, r.supply);
-                            let factors =
-                                map.inflation_factors(design, &lower, r.alpha, r.max_inflation);
-                            projection.project_with_bins_inflated(
-                                design,
-                                &lower,
-                                bins,
-                                Some(&factors),
-                            )
-                        }
-                        None => projection.project_with_bins(design, &lower, bins),
-                    };
-                    upper = proj.placement.clone();
-                    if armed.take(k, FaultKind::ProjectionStall) {
-                        poison(&mut upper, design);
-                    }
-                    if !placement_is_finite(design, &upper) {
-                        fault = Some("non-finite feasible iterate after projection".into());
-                    } else {
-                        if cfg.detail_each_iteration {
-                            let legalized = Legalizer::default().legalize(design, &upper);
-                            let refined = DetailedPlacer {
-                                max_passes: 1,
-                                ..DetailedPlacer::default()
-                            }
-                            .improve(design, legalized.placement);
-                            upper = refined.placement;
-                        }
-                        proj_result = Some(proj);
-                    }
-                }
-
-                if let Some(detail) = fault {
-                    recoveries += 1;
-                    obs::add("place.recoveries", 1);
-                    if obs::enabled() {
-                        obs::event(
-                            "recovery",
-                            obs::JsonValue::object(vec![
-                                ("iteration", (k as i64).into()),
-                                ("recoveries", (recoveries as i64).into()),
-                                ("detail", detail.as_str().into()),
-                            ]),
-                        );
-                    }
-                    if recoveries > cfg.max_recoveries {
-                        return Err(PlaceError::Diverged {
-                            iteration: k,
-                            recoveries: recoveries - 1,
-                            best: Some(Box::new(best_upper)),
-                            detail,
-                        });
-                    }
-                    // Recovery policy: restore the last good iterates, back
-                    // λ off (an overgrown penalty is the usual culprit),
-                    // tighten the CG tolerance, and retry the iteration.
-                    lower = lower_prev;
-                    upper = best_upper.clone();
-                    schedule.scale(0.5);
-                    cg_tol = (cg_tol * 0.1).max(1e-12);
-                    model = make_model(cg_tol);
-                    continue;
-                }
-                let Some(proj) = proj_result else {
-                    // Unreachable: a missing projection always set `fault`,
-                    // which the block above consumed with `continue`.
-                    continue;
-                };
-
-                let phi_lower = hpwl::weighted_hpwl(design, &lower);
-                let phi_upper = hpwl::weighted_hpwl(design, &upper);
-                let pi = lower.l1_distance(&upper);
-                if phi_upper < best_phi_upper && proj.overflow_after < 0.25 {
-                    best_phi_upper = phi_upper;
-                    best_upper = upper.clone();
-                    stale = 0;
-                } else {
-                    stale += 1;
-                }
-
-                trace.push(IterationRecord {
-                    iteration: k,
-                    lambda,
-                    phi_lower,
-                    phi_upper,
-                    pi,
-                    lagrangian: phi_lower + lambda * pi,
-                    overflow: proj.overflow_before,
-                    // The grid the projection actually used (the electro
-                    // backend rounds the request to a power of two).
-                    bins: proj.bins_used,
-                });
-                if obs::enabled() {
-                    obs::event(
-                        "iteration",
-                        obs::JsonValue::object(vec![
-                            ("iteration", (k as i64).into()),
-                            ("lambda", lambda.into()),
-                            ("phi_lower", phi_lower.into()),
-                            ("phi_upper", phi_upper.into()),
-                            ("pi", pi.into()),
-                            ("overflow", proj.overflow_before.into()),
-                            ("bins", (bins as i64).into()),
-                            ("cg_iterations_x", (mstats.iterations_x as i64).into()),
-                            ("cg_iterations_y", (mstats.iterations_y as i64).into()),
-                            ("relative_residual", mstats.relative_residual.into()),
-                        ]),
-                    );
-                }
-
-                // Convergence (Section 4): relative duality gap or the
-                // overflow of the analytic iterate.
-                let rel_gap = if phi_upper > 0.0 {
-                    (phi_upper - phi_lower) / phi_upper
-                } else {
-                    0.0
-                };
-                // Refined convergence (Section 4): the duality gap or the
-                // overflow of the analytic iterate; additionally stop when
-                // the best feasible iterate has stagnated — more iterations
-                // cannot improve the result that detailed placement uses.
-                if proj.overflow_before < cfg.overflow_tolerance
-                    || (k >= 3 && rel_gap < cfg.gap_tolerance)
-                {
-                    converged = true;
-                    stop_reason = StopReason::Converged;
-                    break;
-                }
-                if k >= 10 && stale >= cfg.stagnation_window {
-                    converged = true;
-                    stop_reason = StopReason::Stagnated;
-                    break;
-                }
-
-                schedule.advance(pi_prev, pi);
-                pi_prev = pi;
-
-                // Periodic checkpoint at the loop bottom, where the state
-                // is exactly "iteration k done, schedule advanced" — the
-                // precondition [`ComplxPlacer::resume`] restores. Best
-                // effort: an I/O failure is counted, not fatal.
-                if let (Some(w), Some((dh, ch))) = (ckpt_writer.as_mut(), hashes) {
-                    if w.due(k) {
-                        let _ckpt_span = obs::span("checkpoint");
-                        let state = CheckpointState {
-                            design_hash: dh,
-                            config_hash: ch,
-                            generation: w.next_generation(),
-                            iteration: k,
-                            lambda: schedule.lambda(),
-                            lambda_1: schedule.lambda_1(),
-                            h: schedule.h(),
-                            pi_prev,
-                            cg_tol,
-                            recoveries,
-                            stale,
-                            best_phi_upper,
-                            final_lambda,
-                            lower: lower.clone(),
-                            upper: upper.clone(),
-                            best_upper: best_upper.clone(),
-                            trace: trace.clone(),
-                            solves: solves.clone(),
-                        };
-                        let io_fault = armed.take_io_fault(k);
-                        match w.write(&state, io_fault) {
-                            Ok(bytes) => {
-                                obs::add("ckpt.writes", 1);
-                                obs::add("ckpt.bytes", bytes);
-                                if obs::enabled() {
-                                    obs::event(
-                                        "checkpoint",
-                                        obs::JsonValue::object(vec![
-                                            ("iteration", (k as i64).into()),
-                                            ("bytes", (bytes as i64).into()),
-                                            ("generation", (state.generation as i64).into()),
-                                        ]),
-                                    );
-                                }
-                            }
-                            Err(e) => {
-                                obs::add("ckpt.errors", 1);
-                                if obs::enabled() {
-                                    obs::event(
-                                        "checkpoint_error",
-                                        obs::JsonValue::object(vec![
-                                            ("iteration", (k as i64).into()),
-                                            ("error", e.to_string().as_str().into()),
-                                        ]),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
             }
         }
-        let global_seconds = t_global.elapsed().as_secs_f64();
-        if recoveries > 0 {
-            stop_reason = StopReason::Recovered;
-        }
+    }
 
-        // Final legalization + detailed placement on the best feasible
-        // iterate (Section 4). Legalization always runs — the contract is a
-        // legal result even on a time-budget exit — but the detailed
-        // placement polish is skipped when the budget is already spent.
-        let upper = best_upper;
+    /// Final legalization + detailed placement on the best feasible
+    /// iterate (Section 4). Legalization always runs — the contract is a
+    /// legal result even on a time-budget exit — but the detailed
+    /// placement polish is skipped when the budget is already spent.
+    fn finalize(
+        &self,
+        st: LoopState,
+        stop_reason: StopReason,
+        global_seconds: f64,
+    ) -> PlacementOutcome {
+        let (design, upper) = (self.design, st.best_upper);
         let t_detail = Instant::now(); // lint:allow(nondet-taint): phase timer; elapsed seconds feed the report only, never a coordinate
-        let legal = if cfg.final_detail {
+        let legal = if self.cfg.final_detail {
             let legalized = Legalizer::default().legalize(design, &upper);
-            if budget.stop().is_some() {
+            if self.budget.stop().is_some() {
                 legalized.placement
             } else {
                 DetailedPlacer::default()
-                    .improve_with_cancel(design, legalized.placement, budget.cancel_token())
+                    .improve_with_cancel(design, legalized.placement, self.budget.cancel_token())
                     .placement
             }
         } else {
@@ -740,22 +754,44 @@ impl ComplxPlacer {
         let detail_seconds = t_detail.elapsed().as_secs_f64();
 
         let metrics = PlacementMetrics::measure(design, &legal);
-        Ok(PlacementOutcome {
-            lower,
+        PlacementOutcome {
+            lower: st.lower,
             upper,
             hpwl_legal: metrics.hpwl,
             metrics,
             legal,
-            trace,
-            iterations,
-            final_lambda,
-            converged,
+            trace: st.trace,
+            iterations: st.iteration,
+            final_lambda: st.final_lambda,
+            converged: matches!(stop_reason, StopReason::Converged | StopReason::Stagnated),
             stop_reason,
-            recoveries,
+            recoveries: st.recoveries,
             global_seconds,
             detail_seconds,
-            solves,
-        })
+            solves: st.solves,
+        }
+    }
+}
+
+/// The configured interconnect model. The CG tolerance is recovery state:
+/// each divergence recovery tightens it (sloppier solves are a prime source
+/// of breakdowns), so the model is rebuilt from the current value.
+fn interconnect_model(cfg: &PlacerConfig, cg_tol: f64) -> Box<dyn InterconnectModel> {
+    match cfg.interconnect {
+        Interconnect::Quadratic(net_model) => Box::new(
+            QuadraticModel::new(net_model).with_solver(
+                CgSolver::new()
+                    .with_tolerance(cg_tol)
+                    .with_max_iterations(cfg.cg_max_iterations),
+            ),
+        ),
+        Interconnect::LogSumExp { gamma_rows } => {
+            Box::new(LseModel::new().with_gamma_rows(gamma_rows))
+        }
+        Interconnect::BetaRegularized { beta_rows2 } => {
+            Box::new(BetaRegModel::new().with_beta_rows2(beta_rows2))
+        }
+        Interconnect::PNorm { p } => Box::new(PNormModel::new().with_p(p)),
     }
 }
 
@@ -1127,7 +1163,7 @@ mod tests {
         };
         let (state, used_prev) = ckpt::load_checkpoint(&ckpt_b).unwrap();
         assert!(!used_prev);
-        assert_eq!(state.iteration, 4);
+        assert_eq!(state.state.iteration, 4);
         let resumed = ComplxPlacer::new(cfg_r).resume(&d, state).unwrap();
 
         assert_eq!(

@@ -138,25 +138,7 @@ pub fn run_report(
         ("global_seconds", outcome.global_seconds.into()),
         ("detail_seconds", outcome.detail_seconds.into()),
     ]);
-    report.iterations = JsonValue::Arr(
-        outcome
-            .trace
-            .records()
-            .iter()
-            .map(|r| {
-                JsonValue::object(vec![
-                    ("iteration", r.iteration.into()),
-                    ("lambda", r.lambda.into()),
-                    ("phi_lower", r.phi_lower.into()),
-                    ("phi_upper", r.phi_upper.into()),
-                    ("pi", r.pi.into()),
-                    ("lagrangian", r.lagrangian.into()),
-                    ("overflow", r.overflow.into()),
-                    ("bins", r.bins.into()),
-                ])
-            })
-            .collect(),
-    );
+    report.iterations = outcome.trace.to_json_value();
     let totals = outcome.solver_totals();
     let mut extra = vec![("parallel", parallel_json(harvest.as_ref()))];
     // Memory attribution only exists while `--profile-mem` keeps the

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use complx_obs::JsonValue;
+
 /// One global placement iteration's measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
@@ -38,6 +40,29 @@ impl IterationRecord {
         } else {
             self.duality_gap() / self.phi_upper
         }
+    }
+
+    /// The record as a JSON object — the one serialization shared by the
+    /// JSON trace, the run report's `iterations` and the `iteration` event.
+    pub fn to_json(&self) -> JsonValue {
+        self.to_json_with(Vec::new())
+    }
+
+    /// [`Self::to_json`] followed by `extra` fields (the `iteration` event
+    /// appends the primal step's solver statistics).
+    pub fn to_json_with(&self, extra: Vec<(&str, JsonValue)>) -> JsonValue {
+        let mut fields = vec![
+            ("iteration", self.iteration.into()),
+            ("lambda", self.lambda.into()),
+            ("phi_lower", self.phi_lower.into()),
+            ("phi_upper", self.phi_upper.into()),
+            ("pi", self.pi.into()),
+            ("lagrangian", self.lagrangian.into()),
+            ("overflow", self.overflow.into()),
+            ("bins", self.bins.into()),
+        ];
+        fields.extend(extra);
+        JsonValue::object(fields)
     }
 }
 
@@ -104,27 +129,14 @@ impl Trace {
     /// (chosen by the CLI when `--trace` names a `.json` file), terminated
     /// by a newline like [`Self::to_csv`].
     pub fn to_json(&self) -> String {
-        use complx_obs::JsonValue;
-        let arr = JsonValue::Arr(
-            self.records
-                .iter()
-                .map(|r| {
-                    JsonValue::object(vec![
-                        ("iteration", r.iteration.into()),
-                        ("lambda", r.lambda.into()),
-                        ("phi_lower", r.phi_lower.into()),
-                        ("phi_upper", r.phi_upper.into()),
-                        ("pi", r.pi.into()),
-                        ("lagrangian", r.lagrangian.into()),
-                        ("overflow", r.overflow.into()),
-                        ("bins", r.bins.into()),
-                    ])
-                })
-                .collect(),
-        );
-        let mut s = arr.to_json_pretty();
+        let mut s = self.to_json_value().to_json_pretty();
         s.push('\n');
         s
+    }
+
+    /// The records as a JSON array of [`IterationRecord::to_json`] objects.
+    pub fn to_json_value(&self) -> JsonValue {
+        JsonValue::Arr(self.records.iter().map(IterationRecord::to_json).collect())
     }
 }
 

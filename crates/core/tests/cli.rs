@@ -129,6 +129,59 @@ fn report_events_and_json_trace_are_written_and_parse() {
 }
 
 #[test]
+fn iteration_events_agree_with_the_trace_under_electro() {
+    // The electro backend rounds the requested grid to a power of two, so
+    // an event that reported the requested grid would disagree with the
+    // trace's `bins` (the grid actually used).
+    use complx_obs::JsonValue;
+    let dir = temp_dir("ev_trace");
+    let design = GeneratorConfig::small("evt", 9).generate();
+    let aux = bookshelf::write_bundle(&design, &design.initial_placement(), &dir)
+        .expect("bundle written");
+    let events_path = dir.join("events.jsonl");
+    let trace_path = dir.join("trace.json");
+    let output = Command::new(complx_bin())
+        .arg(&aux)
+        .args(["--max-iterations", "12", "-q", "--projection", "electro"])
+        .arg("-o")
+        .arg(dir.join("solution"))
+        .arg("--events")
+        .arg(&events_path)
+        .arg("--trace")
+        .arg(&trace_path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let trace = complx_obs::parse(&std::fs::read_to_string(&trace_path).expect("trace"))
+        .expect("trace is valid JSON");
+    let rows = trace.as_array().expect("array");
+    let events = std::fs::read_to_string(&events_path).expect("events written");
+    let mut checked = 0usize;
+    for line in events.lines() {
+        let ev = complx_obs::parse(line).expect("event line is valid JSON");
+        if ev.get("type").and_then(JsonValue::as_str) != Some("iteration") {
+            continue;
+        }
+        let k = ev.get("iteration").and_then(JsonValue::as_i64);
+        let row = rows
+            .iter()
+            .find(|r| r.get("iteration").and_then(JsonValue::as_i64) == k)
+            .unwrap_or_else(|| panic!("no trace row for event {line}"));
+        for key in ["bins", "lambda"] {
+            assert_eq!(ev.get(key), row.get(key), "`{key}` of iteration {k:?}");
+        }
+        checked += 1;
+    }
+    assert_eq!(checked + 1, rows.len(), "one event per λ-loop trace row");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn missing_input_fails_with_nonzero_exit() {
     let output = Command::new(complx_bin())
         .arg("/nonexistent/never.aux")

@@ -30,7 +30,9 @@ fn nan_gradient_fault_recovers_to_finite_placement() {
     let d = small(1);
     let cfg = run_with_plan(FaultPlan::new().inject(2, FaultKind::NanGradient), 3);
     let out = ComplxPlacer::new(cfg).place(&d).expect("must recover");
-    assert_eq!(out.stop_reason, StopReason::Recovered);
+    // Recoveries are a count, not a stop reason: the loop still reports
+    // the criterion that actually ended it.
+    assert_eq!(out.stop_reason, StopReason::IterationCap);
     assert_eq!(out.recoveries, 1);
     assert!(
         placement_is_finite(&d, &out.legal),
@@ -45,7 +47,7 @@ fn cg_stall_fault_recovers_to_finite_placement() {
     let d = small(2);
     let cfg = run_with_plan(FaultPlan::new().inject(3, FaultKind::CgStall), 3);
     let out = ComplxPlacer::new(cfg).place(&d).expect("must recover");
-    assert_eq!(out.stop_reason, StopReason::Recovered);
+    assert_eq!(out.stop_reason, StopReason::Stagnated);
     assert_eq!(out.recoveries, 1);
     assert!(placement_is_finite(&d, &out.legal));
     assert!(out.hpwl_legal.is_finite() && out.hpwl_legal > 0.0);
@@ -56,7 +58,7 @@ fn projection_stall_fault_recovers_to_finite_placement() {
     let d = small(3);
     let cfg = run_with_plan(FaultPlan::new().inject(2, FaultKind::ProjectionStall), 3);
     let out = ComplxPlacer::new(cfg).place(&d).expect("must recover");
-    assert_eq!(out.stop_reason, StopReason::Recovered);
+    assert_eq!(out.stop_reason, StopReason::Stagnated);
     assert_eq!(out.recoveries, 1);
     assert!(placement_is_finite(&d, &out.legal));
     assert!(out.hpwl_legal.is_finite() && out.hpwl_legal > 0.0);
@@ -71,7 +73,7 @@ fn multiple_fault_classes_in_one_run_all_recover() {
         .inject(6, FaultKind::ProjectionStall);
     let cfg = run_with_plan(plan, 5);
     let out = ComplxPlacer::new(cfg).place(&d).expect("must recover");
-    assert_eq!(out.stop_reason, StopReason::Recovered);
+    assert_eq!(out.stop_reason, StopReason::IterationCap);
     assert_eq!(out.recoveries, 3);
     assert!(placement_is_finite(&d, &out.legal));
 }
@@ -143,7 +145,6 @@ fn fault_free_plan_changes_nothing() {
     .expect("empty plan");
     assert_eq!(clean.legal, with_empty_plan.legal);
     assert_eq!(clean.recoveries, 0);
-    assert_ne!(clean.stop_reason, StopReason::Recovered);
 }
 
 #[test]
@@ -258,7 +259,7 @@ fn checkpoint_short_write_is_caught_at_load_and_prev_generation_survives() {
         used_prev,
         "loader must fall back to the previous generation"
     );
-    assert_eq!(state.iteration, 4);
+    assert_eq!(state.state.iteration, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -283,6 +284,60 @@ fn checkpoint_write_error_only_counts_and_run_completes() {
     // The failed generation was never committed; an earlier or later good
     // generation is still loadable.
     let (state, _) = complx_place::load_checkpoint(&path).expect("a good generation loads");
-    assert!(state.iteration >= 2);
+    assert!(state.state.iteration >= 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_after_a_recovery_reproduces_the_faulted_run() {
+    // The recovery at iteration 3 halves λ, tightens the CG tolerance and
+    // bumps the recovery count; the checkpoint at iteration 6 must carry
+    // all three so the resumed run continues exactly as the uninterrupted
+    // faulted one did.
+    use complx_place::CheckpointConfig;
+    let dir = std::env::temp_dir().join(format!("complx-faults-rec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let d = small(16);
+    let with = |path: &std::path::Path, plan: FaultPlan| PlacerConfig {
+        max_iterations: 20,
+        checkpoint: Some(CheckpointConfig::new(path, 2)),
+        faults: Some(plan),
+        ..PlacerConfig::fast()
+    };
+    let nan_at_3 = FaultPlan::new().inject(3, FaultKind::NanGradient);
+
+    let reference = ComplxPlacer::new(with(&dir.join("ref.ckpt"), nan_at_3.clone()))
+        .place(&d)
+        .expect("faulted run recovers");
+    assert_eq!(reference.recoveries, 1);
+    assert!(
+        reference.iterations > 7,
+        "test design must outlive the kill"
+    );
+
+    let path = dir.join("run.ckpt");
+    let err = ComplxPlacer::new(with(&path, nan_at_3.inject(7, FaultKind::Kill)))
+        .place(&d)
+        .expect_err("killed at 7");
+    assert!(matches!(err, PlaceError::Killed { iteration: 7 }), "{err}");
+
+    let (checkpoint, used_prev) = complx_place::load_checkpoint(&path).expect("loads");
+    assert!(!used_prev);
+    assert_eq!(checkpoint.state.iteration, 6);
+    assert_eq!(checkpoint.state.recoveries, 1);
+    assert!(checkpoint.state.cg_tol < PlacerConfig::fast().cg_tolerance);
+    // A restart does not re-specify the fault plan.
+    let resumed = ComplxPlacer::new(with(&path, FaultPlan::new()))
+        .resume(&d, checkpoint)
+        .expect("resumed run");
+
+    assert_eq!(reference.legal, resumed.legal, "final placement");
+    assert_eq!(reference.trace, resumed.trace);
+    assert_eq!(
+        reference.final_lambda.to_bits(),
+        resumed.final_lambda.to_bits()
+    );
+    assert_eq!(reference.recoveries, resumed.recoveries);
+    assert_eq!(reference.stop_reason, resumed.stop_reason);
     let _ = std::fs::remove_dir_all(&dir);
 }

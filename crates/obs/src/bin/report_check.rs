@@ -15,7 +15,9 @@
 //! `extra.parallel` section to record exactly `n` worker threads. The
 //! profiling sections `extra.memory` and `extra.timeline` are validated
 //! whenever present; `--memory` / `--timeline` additionally require them
-//! to exist (for runs invoked with `--profile-mem` / `--profile`).
+//! to exist (for runs invoked with `--profile-mem` / `--profile`). Each
+//! timeline bucket of a λ-loop iteration must agree with the report's
+//! `iterations` row for that iteration on `bins` and `lambda`.
 
 use std::process::ExitCode;
 
@@ -135,6 +137,56 @@ fn check_timeline_section(path: &str, tl: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
+/// Cross-checks every timeline bucket closed by an `iteration` event
+/// (iteration ≥ 1; bucket 0 holds spans outside the λ loop) against the
+/// report's `iterations` row for the same iteration. Both are rendered
+/// from one iteration record, so `bins` and `lambda` must be equal.
+fn check_timeline_matches_iterations(
+    path: &str,
+    tl: &JsonValue,
+    rows: &JsonValue,
+) -> Result<(), String> {
+    let rows = rows.as_array().unwrap_or(&[]);
+    let buckets = tl
+        .get("iterations")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let bins = |v: &JsonValue| v.get("bins").and_then(JsonValue::as_i64);
+    let lambda = |v: &JsonValue| {
+        v.get("lambda")
+            .and_then(JsonValue::as_f64)
+            .map(f64::to_bits)
+    };
+    for bucket in buckets {
+        let Some(k) = bucket
+            .get("iteration")
+            .and_then(JsonValue::as_i64)
+            .filter(|&k| k >= 1)
+        else {
+            continue;
+        };
+        let Some(row) = rows
+            .iter()
+            .find(|r| r.get("iteration").and_then(JsonValue::as_i64) == Some(k))
+        else {
+            return Err(format!(
+                "{path}: extra.timeline: iteration {k} has no `iterations` row"
+            ));
+        };
+        if bins(bucket) != bins(row) || lambda(bucket) != lambda(row) {
+            return Err(format!(
+                "{path}: extra.timeline: iteration {k} disagrees with its `iterations` row \
+                 (bins {:?} vs {:?}, lambda {:?} vs {:?})",
+                bins(bucket),
+                bins(row),
+                bucket.get("lambda").and_then(JsonValue::as_f64),
+                row.get("lambda").and_then(JsonValue::as_f64),
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn check_report(
     path: &str,
     expect_threads: Option<i64>,
@@ -154,7 +206,10 @@ fn check_report(
         None => {}
     }
     match report.extra.get("timeline") {
-        Some(tl) => check_timeline_section(path, tl)?,
+        Some(tl) => {
+            check_timeline_section(path, tl)?;
+            check_timeline_matches_iterations(path, tl, &report.iterations)?;
+        }
         None if require_timeline => {
             return Err(format!(
                 "{path}: extra.timeline missing (was the run invoked with --profile?)"

@@ -35,10 +35,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use complx_netlist::bookshelf;
+use complx_netlist::{bookshelf, Design};
 use complx_obs::{JsonValue, JsonlSink, Sink};
 use complx_par::CancelToken;
-use complx_place::{config_hash, design_hash, solve, PlaceError, PlacerConfig, SolveRequest};
+use complx_place::{
+    config_hash, design_hash, solve, PlaceError, PlacerConfig, SolveArtifacts, SolveRequest,
+    StopReason,
+};
 
 use crate::cache::{self, ResultCache};
 use crate::events::{EventBuf, EventBufWriter};
@@ -114,6 +117,22 @@ struct Shared {
     addr: OnceLock<SocketAddr>,
 }
 
+impl Shared {
+    fn new(cfg: ServeConfig) -> Self {
+        Self {
+            jobs: Mutex::new(JobTable::default()),
+            queue: Mutex::new(JobQueue::new(cfg.queue_capacity)),
+            wake: Condvar::new(),
+            cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
+            stats: Mutex::new(Stats::default()),
+            shutdown: AtomicBool::new(false),
+            next_id: AtomicU64::new(1),
+            addr: OnceLock::new(),
+            cfg,
+        }
+    }
+}
+
 /// A running daemon; dropping it does *not* stop the threads — call
 /// [`Server::request_shutdown`] then [`Server::join`], or let a client
 /// `POST /shutdown`.
@@ -132,17 +151,7 @@ impl Server {
         let addr = listener.local_addr()?;
         complx_par::prewarm(cfg.jobs.max(1) * cfg.threads_per_job.max(1));
         let worker_count = cfg.jobs.max(1);
-        let shared = Arc::new(Shared {
-            jobs: Mutex::new(JobTable::default()),
-            queue: Mutex::new(JobQueue::new(cfg.queue_capacity)),
-            wake: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
-            stats: Mutex::new(Stats::default()),
-            shutdown: AtomicBool::new(false),
-            next_id: AtomicU64::new(1),
-            addr: OnceLock::new(),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let _ = shared.addr.set(addr);
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
@@ -731,51 +740,8 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     events.close();
 
     match solved {
-        Ok(arts) => {
-            let report_json = arts.report.to_json_string();
-            let spooled = spool::write_result(
-                &dir,
-                &design,
-                &arts.outcome.legal,
-                &report_json,
-                &events.snapshot(),
-            );
-            match spooled {
-                Ok(_) => {
-                    let result = JsonValue::object(vec![
-                        ("hpwl", arts.outcome.hpwl_legal.into()),
-                        ("iterations", arts.outcome.iterations.into()),
-                        ("converged", arts.outcome.converged.into()),
-                        ("stop_reason", arts.report.stop_reason.clone().into()),
-                        ("total_seconds", arts.report.total_seconds.into()),
-                    ]);
-                    let (dh, ch) = finish_job(shared, id, &dir, |job| {
-                        job.state = JobState::Done;
-                        job.result = Some(result.clone());
-                    });
-                    lock_or_recover(&shared.cache).insert(
-                        dh,
-                        ch,
-                        cache::entry(id, dir.clone(), result),
-                    );
-                    lock_or_recover(&shared.stats).completed += 1;
-                }
-                Err(e) => {
-                    finish_job(shared, id, &dir, |job| {
-                        job.state = JobState::Failed;
-                        job.error = Some(format!("spool: {e}"));
-                    });
-                    lock_or_recover(&shared.stats).failed += 1;
-                }
-            }
-        }
-        Err(PlaceError::Cancelled) => {
-            finish_job(shared, id, &dir, |job| {
-                job.state = JobState::Cancelled;
-                job.error = Some("cancelled mid-solve".to_string());
-            });
-            lock_or_recover(&shared.stats).cancelled += 1;
-        }
+        Ok(arts) => commit_solved(shared, id, &dir, &design, &arts, &events.snapshot()),
+        Err(PlaceError::Cancelled) => finish_cancelled(shared, id, &dir),
         Err(e) => {
             finish_job(shared, id, &dir, |job| {
                 job.state = JobState::Failed;
@@ -784,6 +750,60 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             lock_or_recover(&shared.stats).failed += 1;
         }
     }
+}
+
+/// Commits a solve that returned a placement. A cancel that landed after
+/// the bootstrap still returns one — legal but truncated — and ends the
+/// job `cancelled` exactly like a cancel during the bootstrap. Otherwise
+/// the result is spooled and the job is `done`; only a complete run
+/// ([`StopReason::is_complete`]) enters the result cache, because only it
+/// is what the `(design_hash, config_hash)` key promises.
+fn commit_solved(
+    shared: &Arc<Shared>,
+    id: u64,
+    dir: &Path,
+    design: &Design,
+    arts: &SolveArtifacts,
+    events: &[u8],
+) {
+    let stop = arts.outcome.stop_reason;
+    if stop == StopReason::Cancelled {
+        finish_cancelled(shared, id, dir);
+        return;
+    }
+    let report_json = arts.report.to_json_string();
+    if let Err(e) = spool::write_result(dir, design, &arts.outcome.legal, &report_json, events) {
+        finish_job(shared, id, dir, |job| {
+            job.state = JobState::Failed;
+            job.error = Some(format!("spool: {e}"));
+        });
+        lock_or_recover(&shared.stats).failed += 1;
+        return;
+    }
+    let result = JsonValue::object(vec![
+        ("hpwl", arts.outcome.hpwl_legal.into()),
+        ("iterations", arts.outcome.iterations.into()),
+        ("converged", arts.outcome.converged.into()),
+        ("stop_reason", arts.report.stop_reason.clone().into()),
+        ("total_seconds", arts.report.total_seconds.into()),
+    ]);
+    let (dh, ch) = finish_job(shared, id, dir, |job| {
+        job.state = JobState::Done;
+        job.result = Some(result.clone());
+    });
+    if stop.is_complete() {
+        lock_or_recover(&shared.cache).insert(dh, ch, cache::entry(id, dir.to_path_buf(), result));
+    }
+    lock_or_recover(&shared.stats).completed += 1;
+}
+
+/// Ends a job whose solve was cancelled while running.
+fn finish_cancelled(shared: &Arc<Shared>, id: u64, dir: &Path) {
+    finish_job(shared, id, dir, |job| {
+        job.state = JobState::Cancelled;
+        job.error = Some("cancelled mid-solve".to_string());
+    });
+    lock_or_recover(&shared.stats).cancelled += 1;
 }
 
 fn dir_of(shared: &Arc<Shared>, id: u64) -> std::path::PathBuf {
@@ -819,5 +839,85 @@ fn commit_manifest(dir: &Path, status: &JsonValue) {
             "complx-serve: manifest write failed for {}: {e}",
             dir.display()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use complx_netlist::generator::GeneratorConfig;
+
+    /// Server state (no threads) holding job 1 in `running`, plus its
+    /// spool directory and design.
+    fn running_job(tag: &str) -> (Arc<Shared>, std::path::PathBuf, Design) {
+        let root = std::env::temp_dir().join(format!("complx-commit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let shared = Arc::new(Shared::new(ServeConfig::new(root.clone())));
+        let design = GeneratorConfig::small(tag, 3).generate();
+        let dir = spool::job_dir(&root, 1);
+        lock_or_recover(&shared.jobs).insert(Job {
+            id: 1,
+            priority: Priority::Normal,
+            state: JobState::Running,
+            design_name: tag.to_string(),
+            design_hash: design_hash(&design),
+            config_hash: config_hash(&PlacerConfig::fast()),
+            cached: false,
+            design: None,
+            config: PlacerConfig::fast(),
+            cancel: CancelToken::new(),
+            events: EventBuf::new(),
+            spool_dir: dir.clone(),
+            result_dir: dir.clone(),
+            error: None,
+            result: None,
+        });
+        (shared, root, design)
+    }
+
+    /// A real solve whose stop reason is then overwritten — a synthetic
+    /// outcome for each exit path, no timing involved.
+    fn commit_with(tag: &str, stop: StopReason) -> (Arc<Shared>, std::path::PathBuf) {
+        let (shared, root, design) = running_job(tag);
+        let cfg = PlacerConfig {
+            max_iterations: 3,
+            ..PlacerConfig::fast()
+        };
+        let mut arts = solve(&design, SolveRequest::new(cfg)).expect("solves");
+        arts.outcome.stop_reason = stop;
+        let dir = spool::job_dir(&root, 1);
+        commit_solved(&shared, 1, &dir, &design, &arts, b"");
+        (shared, root)
+    }
+
+    fn job_state(shared: &Arc<Shared>) -> Option<JobState> {
+        lock_or_recover(&shared.jobs).get(1).map(|j| j.state)
+    }
+
+    #[test]
+    fn cancelled_outcome_ends_cancelled_and_is_never_cached() {
+        let (shared, root) = commit_with("cxl", StopReason::Cancelled);
+        assert_eq!(job_state(&shared), Some(JobState::Cancelled));
+        assert!(lock_or_recover(&shared.cache).is_empty());
+        let stats = *lock_or_recover(&shared.stats);
+        assert_eq!((stats.cancelled, stats.completed), (1, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn complete_outcome_is_done_and_cached() {
+        let (shared, root) = commit_with("cap", StopReason::IterationCap);
+        assert_eq!(job_state(&shared), Some(JobState::Done));
+        assert_eq!(lock_or_recover(&shared.cache).len(), 1);
+        assert_eq!(lock_or_recover(&shared.stats).completed, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn time_budget_outcome_is_done_but_not_cached() {
+        let (shared, root) = commit_with("tb", StopReason::TimeBudget);
+        assert_eq!(job_state(&shared), Some(JobState::Done));
+        assert!(lock_or_recover(&shared.cache).is_empty());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -72,11 +72,17 @@ echo "== electro: FFT projection backend solves, verifies, and is thread-determi
 # the independent oracle (audit-legal solution + paper invariants on the
 # trace), and the 1-thread and 4-thread runs must produce byte-identical
 # traces and solutions (parallel butterflies, spectral rows and the
-# charge gather all use size-derived chunk boundaries).
+# charge gather all use size-derived chunk boundaries). The profiled
+# 4-thread run's report must also pass the timeline cross-check: electro
+# rounds the requested grid to a power of two, so each per-iteration
+# timeline bucket must carry the grid actually used, as the trace does.
 ./target/release/complx "$aux" -q --max-iterations 15 --threads 4 \
     --projection electro \
     -o "$smoke_dir/electro_t4" \
-    --trace "$smoke_dir/trace_electro_t4.csv"
+    --trace "$smoke_dir/trace_electro_t4.csv" \
+    --report "$smoke_dir/report_electro.json" \
+    --profile "$smoke_dir/prof_electro.folded"
+./target/release/report_check "$smoke_dir/report_electro.json" --timeline
 ./target/release/complx-verify "$aux" \
     --solution "$smoke_dir/electro_t4/smoke.aux" \
     --trace "$smoke_dir/trace_electro_t4.csv"

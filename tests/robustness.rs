@@ -201,7 +201,7 @@ mod ckpt_robustness {
     use complx_repro::place::ckpt;
     use complx_repro::place::{
         CheckpointConfig, CheckpointState, ComplxPlacer, FaultKind, FaultPlan, IterationRecord,
-        PlaceError, PlacerConfig, SolveRecord, Trace,
+        LambdaSchedule, LoopState, PlaceError, PlacerConfig, SolveRecord, Trace,
     };
     use proptest::prelude::*;
 
@@ -309,21 +309,21 @@ mod ckpt_robustness {
                             design_hash,
                             config_hash,
                             generation,
-                            iteration,
-                            lambda,
-                            lambda_1,
-                            h,
-                            pi_prev,
-                            cg_tol,
-                            recoveries,
-                            stale,
-                            best_phi_upper,
-                            final_lambda: lambda,
-                            lower,
-                            upper,
-                            best_upper,
-                            trace,
-                            solves,
+                            state: LoopState {
+                                iteration,
+                                schedule: LambdaSchedule::restore(lambda, lambda_1, h),
+                                pi_prev,
+                                cg_tol,
+                                recoveries,
+                                stale,
+                                best_phi_upper,
+                                final_lambda: lambda,
+                                lower,
+                                upper,
+                                best_upper,
+                                trace,
+                                solves,
+                            },
                         }
                     },
                 )
@@ -457,7 +457,7 @@ mod ckpt_robustness {
 
         let (state, _) =
             complx_repro::place::load_checkpoint(&path).expect("some generation loads");
-        assert!(state.iteration >= 2);
+        assert!(state.state.iteration >= 2);
         assert!(ckpt::decode(&ckpt::encode(&state)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
