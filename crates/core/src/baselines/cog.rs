@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use complx_legalize::{DetailedPlacer, Legalizer};
 use complx_netlist::{hpwl, CellId, CellKind, Design, Placement, Point};
-use complx_sparse::{CgSolver, CsrMatrix, TripletMatrix};
+use complx_sparse::{CgSolver, TripletMatrix};
 use complx_wirelength::{decompose_net, Edge, NetModel, VarIndex};
 
 use complx_obs as obs;
@@ -330,6 +330,8 @@ fn solve_axis_pair(
         let n = index.num_vars();
         let mut q = TripletMatrix::with_capacity(n, design.num_pins() * 4);
         let mut f = vec![0.0f64; n];
+        // Variables with a stored (always positive) diagonal entry.
+        let mut has_diag = vec![false; n];
         let coord = |cell: CellId| -> f64 {
             if is_x {
                 placement.xs()[cell.index()]
@@ -366,16 +368,19 @@ fn solve_axis_pair(
                 let (vb, cb) = resolve(e.b);
                 match (va, vb) {
                     (Some(i), Some(j)) if i != j => {
-                        q.add_connection(i, j, e.weight);
+                        if q.add_connection(i, j, e.weight) {
+                            has_diag[i] = true;
+                            has_diag[j] = true;
+                        }
                         f[i] += e.weight * (ca - cb);
                         f[j] += e.weight * (cb - ca);
                     }
                     (Some(i), None) => {
-                        q.add_diagonal(i, e.weight);
+                        has_diag[i] |= q.add_diagonal(i, e.weight);
                         f[i] += e.weight * (ca - cb);
                     }
                     (None, Some(j)) => {
-                        q.add_diagonal(j, e.weight);
+                        has_diag[j] |= q.add_diagonal(j, e.weight);
                         f[j] += e.weight * (cb - ca);
                     }
                     _ => {}
@@ -394,15 +399,14 @@ fn solve_axis_pair(
                 let r = decode_region(regions[cell.index()], n_side);
                 let residual = if is_x { res_x[r] } else { res_y[r] };
                 let target = coord(cell) - residual;
-                q.add_diagonal(v, rho);
+                has_diag[v] |= q.add_diagonal(v, rho);
                 f[v] -= rho * target;
             }
         }
 
         // Regularize any disconnected variable.
-        let probe: CsrMatrix = q.to_csr();
-        for (v, &d) in probe.diagonal().iter().enumerate() {
-            if d <= 0.0 {
+        for (v, &has) in has_diag.iter().enumerate() {
+            if !has {
                 q.add_diagonal(v, 1e-8);
                 f[v] -= 1e-8 * coord(index.cell(v));
             }

@@ -1,11 +1,20 @@
 //! Compressed sparse row storage.
 
+use crate::TripletMatrix;
+
 /// Matrices with fewer stored entries than this multiply sequentially —
 /// pool dispatch costs more than the multiply below it. The gate depends
 /// only on the matrix, never the thread count, and the parallel kernel
 /// writes each output row exactly once, so `mul_vec` results are
 /// bit-identical for every thread count.
 const PAR_MIN_NNZ: usize = 8192;
+
+/// Raw triplet counts from which [`CsrWorkspace::assemble`] sorts and
+/// merges rows on the `complx-par` pool. Rows are merged independently and
+/// each row's entries reach the same sort call for any row partition, so
+/// the assembled matrix is bit-identical for every thread count; the gate
+/// only keeps pool dispatch off small matrices.
+pub const PAR_MIN_MERGE_NNZ: usize = 8192;
 
 /// A sparse matrix in compressed sparse row (CSR) format.
 ///
@@ -21,6 +30,207 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
+impl Default for CsrMatrix {
+    /// The empty 0×0 matrix.
+    fn default() -> Self {
+        Self {
+            n: 0,
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+/// One run of `(row, col, value)` triplets as parallel slices.
+#[derive(Clone, Copy)]
+pub(crate) struct Part<'a> {
+    pub(crate) rows: &'a [u32],
+    pub(crate) cols: &'a [u32],
+    pub(crate) vals: &'a [f64],
+}
+
+/// Reusable scratch for building [`CsrMatrix`] values from triplets.
+///
+/// Assembly is count → prefix → scatter → per-row sort and merge. Every
+/// buffer is cleared and refilled on each call, so one workspace serves
+/// matrices of any size, and repeated builds of similar systems allocate
+/// nothing once the buffers have grown.
+///
+/// # Summation order
+///
+/// The parts are read as one concatenated triplet sequence. Each row's
+/// entries are gathered in that order, sorted with
+/// `sort_unstable_by_key` on the column, and duplicates are summed left to
+/// right in the order the sort leaves them; sums of exactly `0.0` are
+/// dropped. The result is bit-identical to [`CsrMatrix::from_triplets`]
+/// on the concatenation, for any thread count.
+#[derive(Debug, Clone, Default)]
+pub struct CsrWorkspace {
+    /// Row `r`'s raw entries occupy `start[r]..start[r + 1]` of `raw`.
+    start: Vec<usize>,
+    /// Scatter cursor per row.
+    cursor: Vec<usize>,
+    /// Raw `(col, value)` entries grouped by row; merged in place.
+    raw: Vec<(u32, f64)>,
+    /// Entries each row keeps after merging.
+    kept: Vec<usize>,
+}
+
+impl CsrWorkspace {
+    /// Creates an empty workspace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Builds `out` as the `n`×`n` matrix of the triplets of `parts`,
+    /// taken in order, reusing `out`'s storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part's dimension is not `n`.
+    pub fn assemble(&mut self, n: usize, parts: &[&TripletMatrix], out: &mut CsrMatrix) {
+        for p in parts {
+            assert_eq!(p.dim(), n, "CsrWorkspace::assemble: dimension mismatch");
+        }
+        let parts: Vec<Part<'_>> = parts.iter().map(|p| p.part()).collect();
+        self.build(n, &parts, out);
+    }
+
+    /// The builder behind [`Self::assemble`] and
+    /// [`CsrMatrix::from_triplets`].
+    fn build(&mut self, n: usize, parts: &[Part<'_>], out: &mut CsrMatrix) {
+        // Count entries per row, then prefix-sum into row starts.
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for p in parts {
+            for &r in p.rows {
+                assert!((r as usize) < n, "row index out of bounds");
+                self.start[r as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.start[i + 1] += self.start[i];
+        }
+
+        // Scatter into row-grouped entries, in part order.
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.start[..n]);
+        self.raw.clear();
+        self.raw.resize(self.start[n], (0, 0.0));
+        for p in parts {
+            for ((&r, &c), &v) in p.rows.iter().zip(p.cols).zip(p.vals) {
+                assert!((c as usize) < n, "col index out of bounds");
+                let dst = &mut self.cursor[r as usize];
+                self.raw[*dst] = (c, v);
+                *dst += 1;
+            }
+        }
+
+        self.kept.clear();
+        self.kept.resize(n, 0);
+        self.merge_rows();
+
+        // Compact the kept entries of every row into `out`.
+        out.n = n;
+        out.row_ptr.clear();
+        out.row_ptr.reserve(n + 1);
+        out.row_ptr.push(0);
+        out.col_idx.clear();
+        out.values.clear();
+        for r in 0..n {
+            let lo = self.start[r];
+            for &(c, v) in &self.raw[lo..lo + self.kept[r]] {
+                out.col_idx.push(c);
+                out.values.push(v);
+            }
+            out.row_ptr.push(out.col_idx.len());
+        }
+    }
+
+    /// Sorts and merges every row of `raw` in place, on the pool when the
+    /// matrix is large enough.
+    fn merge_rows(&mut self) {
+        let Self {
+            start, raw, kept, ..
+        } = self;
+        let n = kept.len();
+        let t = complx_par::threads().min(n.max(1));
+        if raw.len() < PAR_MIN_MERGE_NNZ || t <= 1 {
+            merge_row_range(start, raw, kept, 0);
+            return;
+        }
+        // Any row partition gives the same bits.
+        let bounds = balanced_row_bounds(start, t);
+        let start = &start[..];
+        let car = complx_obs::carrier();
+        complx_par::scope(|s| {
+            let mut raw_rest = &mut raw[..];
+            let mut kept_rest = &mut kept[..];
+            for w in bounds.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let (raw_part, raw_tail) = raw_rest.split_at_mut(start[hi] - start[lo]);
+                raw_rest = raw_tail;
+                let (kept_part, kept_tail) = kept_rest.split_at_mut(hi - lo);
+                kept_rest = kept_tail;
+                let car = &car;
+                s.spawn(move || {
+                    let _attached = car.attach();
+                    let _sp = complx_obs::span("chunks");
+                    merge_row_range(start, raw_part, kept_part, lo);
+                });
+            }
+        });
+    }
+}
+
+/// Splits rows `0..n` into `t` contiguous ranges of about equal entry
+/// count, given the `n + 1` row offsets `prefix`: the k-th boundary is the
+/// first row whose cumulative entry count reaches k/t of the total.
+fn balanced_row_bounds(prefix: &[usize], t: usize) -> Vec<usize> {
+    let n = prefix.len() - 1;
+    let total = prefix[n];
+    let mut bounds = Vec::with_capacity(t + 1);
+    bounds.push(0usize);
+    let mut prev_bound = 0usize;
+    for k in 1..t {
+        let row = prefix.partition_point(|&p| p < k * total / t).min(n);
+        prev_bound = row.max(prev_bound);
+        bounds.push(prev_bound);
+    }
+    bounds.push(n);
+    bounds
+}
+
+/// Sorts and merges rows `row0 .. row0 + kept.len()`, whose raw entries
+/// are `raw` (beginning at `start[row0]`); records each row's kept count.
+fn merge_row_range(start: &[usize], raw: &mut [(u32, f64)], kept: &mut [usize], row0: usize) {
+    let base = start[row0];
+    for (k, slot) in kept.iter_mut().enumerate() {
+        let r = row0 + k;
+        let row = &mut raw[start[r] - base..start[r + 1] - base];
+        row.sort_unstable_by_key(|&(c, _)| c);
+        let mut w = 0;
+        let mut i = 0;
+        while i < row.len() {
+            let (c, mut v) = row[i];
+            let mut j = i + 1;
+            while j < row.len() && row[j].0 == c {
+                v += row[j].1;
+                j += 1;
+            }
+            // lint:allow(no-float-eq): drops entries that sum to exact
+            // zero (e.g. +a + -a); small values must be kept.
+            if v != 0.0 {
+                row[w] = (c, v);
+                w += 1;
+            }
+            i = j;
+        }
+        *slot = w;
+    }
+}
+
 impl CsrMatrix {
     /// Builds a CSR matrix from parallel triplet arrays, summing duplicates.
     ///
@@ -31,72 +241,9 @@ impl CsrMatrix {
     pub fn from_triplets(n: usize, rows: &[u32], cols: &[u32], vals: &[f64]) -> Self {
         assert_eq!(rows.len(), cols.len());
         assert_eq!(rows.len(), vals.len());
-
-        // Count entries per row.
-        let mut counts = vec![0usize; n + 1];
-        for &r in rows {
-            assert!((r as usize) < n, "row index out of bounds");
-            counts[r as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let row_ptr_raw = counts.clone();
-
-        // Scatter into row-grouped arrays.
-        let mut cursor = row_ptr_raw.clone();
-        let mut col_raw = vec![0u32; rows.len()];
-        let mut val_raw = vec![0.0f64; rows.len()];
-        for k in 0..rows.len() {
-            assert!((cols[k] as usize) < n, "col index out of bounds");
-            let r = rows[k] as usize;
-            let dst = cursor[r];
-            col_raw[dst] = cols[k];
-            val_raw[dst] = vals[k];
-            cursor[r] += 1;
-        }
-
-        // Sort each row by column and merge duplicates.
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(rows.len());
-        let mut values = Vec::with_capacity(rows.len());
-        row_ptr.push(0);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for r in 0..n {
-            scratch.clear();
-            scratch.extend(
-                col_raw[row_ptr_raw[r]..row_ptr_raw[r + 1]]
-                    .iter()
-                    .copied()
-                    .zip(val_raw[row_ptr_raw[r]..row_ptr_raw[r + 1]].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let c = scratch[i].0;
-                let mut v = scratch[i].1;
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j].0 == c {
-                    v += scratch[j].1;
-                    j += 1;
-                }
-                // lint:allow(no-float-eq): drops entries that sum to exact
-                // zero (e.g. +a + -a); small values must be kept.
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-                i = j;
-            }
-            row_ptr.push(col_idx.len());
-        }
-
-        Self {
-            n,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        let mut out = Self::default();
+        CsrWorkspace::new().build(n, &[Part { rows, cols, vals }], &mut out);
+        out
     }
 
     /// The matrix dimension (the matrix is square).
@@ -155,21 +302,10 @@ impl CsrMatrix {
             self.mul_vec_rows(v, out, 0);
             return;
         }
-        // nnz-balanced partition: the k-th boundary is the first row whose
-        // cumulative entry count reaches k/t of the total. The boundaries
-        // depend on the thread count, which is fine here: per-row outputs
-        // are independent, so any partition produces identical bits.
-        let nnz = self.nnz();
-        let mut bounds = Vec::with_capacity(t + 1);
-        bounds.push(0usize);
-        let mut prev_bound = 0usize;
-        for k in 1..t {
-            let target = k * nnz / t;
-            let row = self.row_ptr.partition_point(|&p| p < target).min(self.n);
-            prev_bound = row.max(prev_bound);
-            bounds.push(prev_bound);
-        }
-        bounds.push(self.n);
+        // The boundaries depend on the thread count, which is fine here:
+        // per-row outputs are independent, so any partition produces
+        // identical bits.
+        let bounds = balanced_row_bounds(&self.row_ptr, t);
         let car = complx_obs::carrier();
         complx_par::scope(|s| {
             let mut rest = out;
@@ -245,7 +381,6 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripletMatrix;
 
     fn sample() -> CsrMatrix {
         let mut t = TripletMatrix::new(3);

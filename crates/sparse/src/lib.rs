@@ -10,6 +10,8 @@
 //!   pseudonets are stamped into,
 //! * [`CsrMatrix`] — compressed sparse row storage with fast
 //!   matrix–vector products,
+//! * [`CsrWorkspace`] — reusable buffers that build a [`CsrMatrix`] from
+//!   several triplet buffers in one pass,
 //! * [`CgSolver`] — a Jacobi-preconditioned Conjugate Gradient solver with
 //!   configurable tolerance and iteration limits,
 //! * small dense-vector helpers in [`vector`].
@@ -44,5 +46,5 @@ mod triplet;
 pub mod vector;
 
 pub use cg::{CgBreakdown, CgSolver, SolveStats};
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, CsrWorkspace, PAR_MIN_MERGE_NNZ};
 pub use triplet::TripletMatrix;

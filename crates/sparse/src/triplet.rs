@@ -1,6 +1,6 @@
 //! Coordinate-format (COO) accumulator used while stamping net models.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, Part};
 
 /// A sparse matrix under construction, stored as `(row, col, value)` triplets.
 ///
@@ -61,52 +61,43 @@ impl TripletMatrix {
         self.vals.len()
     }
 
-    /// Adds `value` at `(row, col)`. Duplicates accumulate.
+    /// Adds `value` at `(row, col)`. Duplicates accumulate. Returns
+    /// whether the triplet was stored: an exact `0.0` is skipped.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+    pub fn add(&mut self, row: usize, col: usize, value: f64) -> bool {
         assert!(row < self.n && col < self.n, "triplet index out of bounds");
         // lint:allow(no-float-eq): skips explicit structural zeros only;
         // small nonzero values must be stored.
         if value == 0.0 {
-            return;
+            return false;
         }
         self.rows.push(row as u32);
         self.cols.push(col as u32);
         self.vals.push(value);
+        true
     }
 
-    /// Adds `value` to the diagonal entry `(i, i)`.
-    pub fn add_diagonal(&mut self, i: usize, value: f64) {
-        self.add(i, i, value);
+    /// Adds `value` to the diagonal entry `(i, i)`; returns whether it was
+    /// stored (see [`Self::add`]).
+    pub fn add_diagonal(&mut self, i: usize, value: f64) -> bool {
+        self.add(i, i, value)
     }
 
     /// Stamps a two-pin spring of weight `w` between movable variables
     /// `i` and `j`: adds `w` to both diagonal entries and `−w` to both
     /// off-diagonal entries. This is the Laplacian stamp used by every
-    /// quadratic net model.
-    pub fn add_connection(&mut self, i: usize, j: usize, w: f64) {
+    /// quadratic net model. Returns whether the stamp was stored (all four
+    /// triplets are, unless `w` is `0.0`).
+    pub fn add_connection(&mut self, i: usize, j: usize, w: f64) -> bool {
         debug_assert!(i != j, "self-connection has no effect on the Laplacian");
-        self.add(i, i, w);
+        let stored = self.add(i, i, w);
         self.add(j, j, w);
         self.add(i, j, -w);
         self.add(j, i, -w);
-    }
-
-    /// Appends every triplet of `other`, preserving their order. Parallel
-    /// stamping uses this to merge per-chunk buffers back in chunk order,
-    /// which reproduces the exact sequential stamping sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn append(&mut self, other: &TripletMatrix) {
-        assert_eq!(self.n, other.n, "TripletMatrix::append: dimension mismatch");
-        self.rows.extend_from_slice(&other.rows);
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
+        stored
     }
 
     /// Removes all triplets, keeping the allocation; dimension is preserved.
@@ -114,6 +105,22 @@ impl TripletMatrix {
         self.rows.clear();
         self.cols.clear();
         self.vals.clear();
+    }
+
+    /// Removes all triplets and sets the dimension to `n`, keeping the
+    /// allocation.
+    pub fn reset(&mut self, n: usize) {
+        self.clear();
+        self.n = n;
+    }
+
+    /// The stored triplets as parallel slices, in insertion order.
+    pub(crate) fn part(&self) -> Part<'_> {
+        Part {
+            rows: &self.rows,
+            cols: &self.cols,
+            vals: &self.vals,
+        }
     }
 
     /// Converts to CSR, summing duplicate coordinates.
@@ -176,32 +183,25 @@ mod tests {
     }
 
     #[test]
-    fn append_preserves_order() {
-        let mut a = TripletMatrix::new(3);
-        a.add(0, 0, 1.0);
-        let mut b = TripletMatrix::new(3);
-        b.add(1, 1, 2.0);
-        b.add(0, 0, 3.0);
-        a.append(&b);
-        assert_eq!(a.nnz(), 3);
-        let csr = a.to_csr();
-        assert_eq!(csr.get(0, 0), 4.0);
-        assert_eq!(csr.get(1, 1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn append_rejects_mismatched_dims() {
-        let mut a = TripletMatrix::new(3);
-        a.append(&TripletMatrix::new(2));
-    }
-
-    #[test]
     fn clear_keeps_dimension() {
         let mut t = TripletMatrix::new(3);
         t.add(1, 1, 1.0);
         t.clear();
         assert_eq!(t.nnz(), 0);
         assert_eq!(t.dim(), 3);
+        t.add(2, 2, 1.0);
+        t.reset(5);
+        assert_eq!(t.nnz(), 0);
+        assert_eq!(t.dim(), 5);
+    }
+
+    #[test]
+    fn add_reports_whether_stored() {
+        let mut t = TripletMatrix::new(3);
+        assert!(t.add_diagonal(0, 1.0));
+        assert!(!t.add_diagonal(1, 0.0));
+        assert!(t.add_connection(0, 2, f64::NAN));
+        assert!(!t.add_connection(0, 2, -0.0));
+        assert_eq!(t.nnz(), 5);
     }
 }

@@ -1,7 +1,154 @@
 //! Property-based tests for the sparse substrate.
 
-use complx_sparse::{vector, CgSolver, CsrMatrix, TripletMatrix};
+use complx_sparse::{vector, CgSolver, CsrMatrix, CsrWorkspace, TripletMatrix, PAR_MIN_MERGE_NNZ};
 use proptest::prelude::*;
+
+/// One `(row, col, value)` triplet run.
+type Part = Vec<(usize, usize, f64)>;
+
+/// Strategy: triplet parts over an `(m+1)`-square matrix. Rows and columns
+/// `0..m` take duplicates of quarter-integer values (exact sums) and of
+/// arbitrary values (order-sensitive sums); few rows and long parts give
+/// rows of well over 20 raw entries. Column `m` only receives `+k/4` in
+/// the first part and `−k/4` in the last, so every one of its entries sums
+/// to exactly `0.0` and must be dropped.
+fn triplet_parts(max_m: usize, max_len: usize) -> impl Strategy<Value = (usize, Vec<Part>)> {
+    (1..=max_m)
+        .prop_flat_map(move |m| {
+            let value = (0u8..4, 1i32..=16, 0.001f64..10.0).prop_map(|(kind, k, x)| match kind {
+                0 => f64::from(k) * 0.25,
+                1 => -f64::from(k) * 0.25,
+                2 => x,
+                _ => -x,
+            });
+            let part = proptest::collection::vec((0..m, 0..m, value), 0..max_len);
+            let cancels = proptest::collection::vec((0..m, 1i32..=16), 0..8);
+            (Just(m), proptest::collection::vec(part, 1..5), cancels)
+        })
+        .prop_map(|(m, mut parts, cancels)| {
+            for (r, k) in cancels {
+                let v = f64::from(k) * 0.25;
+                parts[0].push((r, m, v));
+                if let Some(last) = parts.last_mut() {
+                    last.push((r, m, -v));
+                }
+            }
+            (m + 1, parts)
+        })
+}
+
+/// The CSR assembly before the reusable workspace, kept as the reference:
+/// scatter by row, copy each row into a scratch vector, sort it by column
+/// with `sort_unstable_by_key`, sum duplicates left to right, drop exact
+/// zeros. Returns each row's `(col, value)` entries.
+fn reference_rows(n: usize, triplets: &[(usize, usize, f64)]) -> Vec<Vec<(u32, f64)>> {
+    let mut grouped: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    for &(r, c, v) in triplets {
+        grouped[r].push((c as u32, v));
+    }
+    grouped
+        .into_iter()
+        .map(|mut scratch| {
+            scratch.sort_unstable_by_key(|&(c, _)| c);
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < scratch.len() {
+                let (c, mut v) = scratch[i];
+                let mut j = i + 1;
+                while j < scratch.len() && scratch[j].0 == c {
+                    v += scratch[j].1;
+                    j += 1;
+                }
+                if v != 0.0 {
+                    out.push((c, v));
+                }
+                i = j;
+            }
+            out
+        })
+        .collect()
+}
+
+fn assert_rows_bit_equal(a: &CsrMatrix, want: &[Vec<(u32, f64)>], what: &str) {
+    assert_eq!(a.dim(), want.len(), "{what}: dimension");
+    for (r, row) in want.iter().enumerate() {
+        let got: Vec<(usize, u64)> = a.row(r).map(|(c, v)| (c, v.to_bits())).collect();
+        let want: Vec<(usize, u64)> = row
+            .iter()
+            .map(|&(c, v)| (c as usize, v.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{what}: row {r}");
+    }
+}
+
+/// The multi-part workspace build must equal, bit for bit, both
+/// `from_triplets` on the concatenated triplets and the reference
+/// assembly, at 1, 2 and 8 threads, with one workspace reused throughout.
+fn assert_workspace_matches_concatenation(n: usize, parts: &[Part]) {
+    let concat: Vec<(usize, usize, f64)> = parts.iter().flatten().copied().collect();
+    let want = reference_rows(n, &concat);
+    let rows: Vec<u32> = concat.iter().map(|t| t.0 as u32).collect();
+    let cols: Vec<u32> = concat.iter().map(|t| t.1 as u32).collect();
+    let vals: Vec<f64> = concat.iter().map(|t| t.2).collect();
+    assert_rows_bit_equal(
+        &CsrMatrix::from_triplets(n, &rows, &cols, &vals),
+        &want,
+        "from_triplets",
+    );
+
+    let mats: Vec<TripletMatrix> = parts
+        .iter()
+        .map(|p| {
+            let mut t = TripletMatrix::new(n);
+            for &(r, c, v) in p {
+                t.add(r, c, v);
+            }
+            t
+        })
+        .collect();
+    let refs: Vec<&TripletMatrix> = mats.iter().collect();
+    let mut ws = CsrWorkspace::new();
+    let mut out = CsrMatrix::default();
+    for t in [1, 2, 8] {
+        let _g = complx_par::with_threads(t);
+        ws.assemble(n, &refs, &mut out);
+        assert_rows_bit_equal(&out, &want, &format!("workspace at {t} threads"));
+    }
+}
+
+#[test]
+fn csr_workspace_crosses_parallel_merge_gate() {
+    // Deterministic SplitMix64 triplets: 40 rows of ~300 raw entries over
+    // three parts, so the merge runs on the pool at 2 and 8 threads.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let n = 41;
+    let mut parts: Vec<Part> = (0..3)
+        .map(|_| {
+            (0..4000)
+                .map(|_| {
+                    let r = (next() % 40) as usize;
+                    let c = (next() % 40) as usize;
+                    let v = (next() % 2000) as f64 / 97.0 - 10.0;
+                    (r, c, if v == 0.0 { 1.0 } else { v })
+                })
+                .collect()
+        })
+        .collect();
+    for r in 0..40 {
+        parts[0].push((r, 40, 1.25));
+        parts[2].push((r, 40, -1.25));
+    }
+    let total: usize = parts.iter().map(Vec::len).sum();
+    assert!(total >= PAR_MIN_MERGE_NNZ);
+    assert_workspace_matches_concatenation(n, &parts);
+}
 
 /// Strategy: a random SPD matrix built as a Laplacian over random edges plus
 /// a strictly positive diagonal shift (guaranteeing positive-definiteness).
@@ -92,6 +239,23 @@ proptest! {
         a.mul_vec(&v, &mut av);
         for i in 0..8 {
             prop_assert!((lhs[i] - (au[i] + alpha * av[i])).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn csr_workspace_matches_from_triplets_on_the_concatenation(
+        (n, parts) in triplet_parts(6, 200)
+    ) {
+        assert_workspace_matches_concatenation(n, &parts);
+        // Column n-1 only held cancelling pairs: nothing of it is stored.
+        let a = CsrMatrix::from_triplets(
+            n,
+            &parts.iter().flatten().map(|t| t.0 as u32).collect::<Vec<_>>(),
+            &parts.iter().flatten().map(|t| t.1 as u32).collect::<Vec<_>>(),
+            &parts.iter().flatten().map(|t| t.2).collect::<Vec<_>>(),
+        );
+        for r in 0..n {
+            prop_assert!(a.row(r).all(|(c, v)| c != n - 1 && v != 0.0));
         }
     }
 

@@ -1,14 +1,20 @@
 //! Assembly and solution of the quadratic placement systems
 //! `Φ_Q(x) = xᵀQ_x x + 2 f_xᵀ x + const` (paper Formula 2), one per axis.
 
-use complx_netlist::{CellId, Design, NetId, Placement, Point};
-use complx_sparse::{CgSolver, TripletMatrix};
+use std::sync::{Mutex, TryLockError};
+
+use complx_netlist::{CellId, Design, NetId, Pin, Placement, Point};
+use complx_sparse::{CgSolver, CsrMatrix, CsrWorkspace, TripletMatrix};
 
 /// Designs with fewer nets than this assemble in a single chunk (no pool
-/// dispatch). The per-net stamping order is preserved by merging per-chunk
+/// dispatch). The per-net stamping order is preserved by reading per-chunk
 /// buffers in chunk order, so the assembled system is bit-identical for
 /// any chunking — this gate is purely a dispatch-overhead cutoff.
 const PAR_MIN_NETS: usize = 512;
+
+/// Diagonal weight that keeps a variable with no stored diagonal entry
+/// (a disconnected cell, or the star of an all-fixed net) SPD.
+const REG: f64 = 1e-8;
 
 use crate::anchors::Anchors;
 use crate::b2b::{decompose, Edge, NetModel};
@@ -66,6 +72,135 @@ enum Axis {
     Y,
 }
 
+impl Axis {
+    /// The cell's center coordinate on this axis.
+    fn coord(self, placement: &Placement, cell: CellId) -> f64 {
+        match self {
+            Axis::X => placement.xs()[cell.index()],
+            Axis::Y => placement.ys()[cell.index()],
+        }
+    }
+
+    /// The pin's offset from its cell's center on this axis.
+    fn offset(self, pin: &Pin) -> f64 {
+        match self {
+            Axis::X => pin.dx,
+            Axis::Y => pin.dy,
+        }
+    }
+}
+
+/// The per-design index structures of one `minimize` call, shared by both
+/// axes.
+struct Layout {
+    index: VarIndex,
+    /// The star variable of each net, if the net model gives it one.
+    star_of_net: Vec<Option<u32>>,
+    /// System dimension: cell variables, then star variables.
+    n: usize,
+    /// Pin-count-balanced net ranges, one per stamping chunk.
+    bounds: Vec<usize>,
+}
+
+impl Layout {
+    fn new(design: &Design, net_model: NetModel) -> Self {
+        let index = VarIndex::new(design);
+        let n_cells = index.num_vars();
+        let num_nets = design.num_nets();
+        let mut star_of_net: Vec<Option<u32>> = vec![None; num_nets];
+        let mut n = n_cells;
+        let mut pin_prefix = Vec::with_capacity(num_nets + 1);
+        pin_prefix.push(0usize);
+        for nid in design.net_ids() {
+            let p = design.net(nid).degree();
+            if net_model.uses_star_var(p) {
+                star_of_net[nid.index()] = Some(n as u32);
+                n += 1;
+            }
+            pin_prefix.push(pin_prefix[nid.index()] + design.net_pins(nid).len());
+        }
+        let total_pins = pin_prefix[num_nets];
+
+        let nparts = if num_nets < PAR_MIN_NETS {
+            1
+        } else {
+            complx_par::threads().min(num_nets)
+        };
+        let mut bounds = Vec::with_capacity(nparts + 1);
+        bounds.push(0usize);
+        let mut prev_bound = 0usize;
+        for k in 1..nparts {
+            let target = k * total_pins / nparts;
+            let i = pin_prefix.partition_point(|&p| p < target).min(num_nets);
+            prev_bound = i.max(prev_bound);
+            bounds.push(prev_bound);
+        }
+        bounds.push(num_nets);
+        Self {
+            index,
+            star_of_net,
+            n,
+            bounds,
+        }
+    }
+
+    fn num_chunks(&self) -> usize {
+        self.bounds.len() - 1
+    }
+}
+
+/// One stamping chunk's output and scratch.
+#[derive(Debug, Default)]
+struct ChunkBuf {
+    q: TripletMatrix,
+    /// Sparse `f += d` updates, not pre-summed: replaying them in chunk
+    /// order performs the exact additions of a sequential net loop.
+    f_updates: Vec<(u32, f64)>,
+    /// Variables this chunk stored a diagonal entry for.
+    has_diag: Vec<bool>,
+    coords: Vec<f64>,
+    edges: Vec<Edge>,
+}
+
+/// Assembly and solve buffers, reused across axes and `minimize` calls.
+#[derive(Debug, Default)]
+struct Workspace {
+    chunks: Vec<ChunkBuf>,
+    /// Anchor and regularization diagonals, stamped after the nets.
+    tail: TripletMatrix,
+    /// Variables with a stored diagonal entry from nets or anchors.
+    has_diag: Vec<bool>,
+    f: Vec<f64>,
+    rhs: Vec<f64>,
+    csr: CsrWorkspace,
+    matrix: CsrMatrix,
+    /// Per-axis solution (cell variables first, then star variables).
+    sol: [Vec<f64>; 2],
+}
+
+/// A model's [`Workspace`]. Buffers carry no state between calls, so a
+/// clone starts empty and two models compare equal whatever they hold.
+#[derive(Default)]
+struct Scratch(Mutex<Workspace>);
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Scratch")
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for Scratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// The linearized-quadratic interconnect model used by SimPL and ComPLx.
 ///
 /// Each [`InterconnectModel::minimize`] call:
@@ -76,12 +211,17 @@ enum Axis {
 /// 3. solves the two independent SPD systems with Jacobi-PCG (warm-started
 ///    from the incoming placement), and
 /// 4. clamps results into the core region.
+///
+/// The model keeps its assembly buffers between calls. Concurrent calls on
+/// one model are correct; a call that finds the buffers busy assembles in
+/// fresh ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuadraticModel {
     net_model: NetModel,
     /// Lower bound for linearization denominators (distance units).
     dist_eps: f64,
     solver: CgSolver,
+    scratch: Scratch,
 }
 
 impl Default for QuadraticModel {
@@ -98,6 +238,7 @@ impl QuadraticModel {
             net_model,
             dist_eps: 1.0,
             solver: CgSolver::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -121,212 +262,248 @@ impl QuadraticModel {
         self.net_model
     }
 
-    /// Assembles and solves one axis; returns the solution alongside the
-    /// solver's convergence report.
-    fn solve_axis(
+    /// Stamps nets `nets` into `buf`: Laplacian triplets, the f-update
+    /// list and the has-diagonal mask.
+    fn stamp_nets(
         &self,
         design: &Design,
-        index: &VarIndex,
+        layout: &Layout,
+        placement: &Placement,
+        axis: Axis,
+        nets: std::ops::Range<usize>,
+        buf: &mut ChunkBuf,
+    ) {
+        let ChunkBuf {
+            q,
+            f_updates,
+            has_diag,
+            coords,
+            edges,
+        } = buf;
+        q.reset(layout.n);
+        f_updates.clear();
+        has_diag.clear();
+        has_diag.resize(layout.n, false);
+        for net_idx in nets {
+            let nid = NetId::from_index(net_idx);
+            let pins = design.net_pins(nid);
+            let w = design.net(nid).weight();
+            coords.clear();
+            coords.extend(
+                pins.iter()
+                    .map(|p| axis.coord(placement, p.cell) + axis.offset(p)),
+            );
+            decompose(self.net_model, w, coords, self.dist_eps, edges);
+            let star = layout.star_of_net[net_idx].map(|v| v as usize);
+            for e in edges.iter() {
+                // Resolve endpoints: (variable index or fixed coordinate, offset).
+                let resolve = |end: usize| -> (Option<usize>, f64) {
+                    if end == Edge::STAR {
+                        (star, 0.0)
+                    } else {
+                        let pin = &pins[end];
+                        match layout.index.var(pin.cell) {
+                            Some(v) => (Some(v), axis.offset(pin)),
+                            None => (None, axis.coord(placement, pin.cell) + axis.offset(pin)),
+                        }
+                    }
+                };
+                let (va, ca) = resolve(e.a);
+                let (vb, cb) = resolve(e.b);
+                match (va, vb) {
+                    (Some(i), Some(j)) => {
+                        if i == j {
+                            continue; // both pins on one cell: constant term
+                        }
+                        if q.add_connection(i, j, e.weight) {
+                            has_diag[i] = true;
+                            has_diag[j] = true;
+                        }
+                        // (x_i + ca − x_j − cb)² cross terms go to f.
+                        f_updates.push((i as u32, e.weight * (ca - cb)));
+                        f_updates.push((j as u32, e.weight * (cb - ca)));
+                    }
+                    (Some(i), None) => {
+                        has_diag[i] |= q.add_diagonal(i, e.weight);
+                        f_updates.push((i as u32, e.weight * (ca - cb)));
+                    }
+                    (None, Some(j)) => {
+                        has_diag[j] |= q.add_diagonal(j, e.weight);
+                        f_updates.push((j as u32, e.weight * (cb - ca)));
+                    }
+                    (None, None) => {}
+                }
+            }
+        }
+    }
+
+    /// Assembles one axis's system into `ws.matrix` and `ws.rhs`, with the
+    /// warm start in `ws.sol[axis]`.
+    ///
+    /// The matrix is the CSR of the triplet sequence chunk 0, …, chunk
+    /// k−1, anchor diagonals, regularization diagonals — the order of a
+    /// sequential net loop followed by the anchor and regularization
+    /// loops — so it is bit-identical for any chunking and thread count.
+    fn assemble_axis(
+        &self,
+        design: &Design,
+        layout: &Layout,
+        ws: &mut Workspace,
         placement: &Placement,
         anchors: Option<&Anchors>,
         axis: Axis,
-        cancel: Option<&complx_par::CancelToken>,
-    ) -> (Vec<f64>, complx_sparse::SolveStats) {
-        let assembly_span = complx_obs::span("b2b_rebuild");
+    ) {
+        let n = layout.n;
+        let index = &layout.index;
         let n_cells = index.num_vars();
-
-        // Count star variables first so the matrix dimension is known.
-        let mut star_of_net: Vec<Option<u32>> = vec![None; design.num_nets()];
-        let mut n_star = 0usize;
-        for nid in design.net_ids() {
-            let p = design.net(nid).degree();
-            if self.net_model.uses_star_var(p) {
-                star_of_net[nid.index()] = Some((n_cells + n_star) as u32);
-                n_star += 1;
-            }
+        let nparts = layout.num_chunks();
+        if ws.chunks.len() < nparts {
+            ws.chunks.resize_with(nparts, ChunkBuf::default);
         }
-        let n = n_cells + n_star;
-
-        let coord = |cell: CellId| -> f64 {
-            match axis {
-                Axis::X => placement.xs()[cell.index()],
-                Axis::Y => placement.ys()[cell.index()],
-            }
-        };
-        let offset = |pin: &complx_netlist::Pin| -> f64 {
-            match axis {
-                Axis::X => pin.dx,
-                Axis::Y => pin.dy,
-            }
-        };
-
-        // Stamps nets `lo..hi` into a fresh chunk-local matrix plus a
-        // sparse f-update list. The updates are *not* pre-summed: replaying
-        // them one at a time, chunk by chunk, performs the exact additions
-        // of the plain sequential net loop, so the assembled system is
-        // bit-identical no matter how the nets are chunked.
-        let num_nets = design.num_nets();
-        let (pin_prefix, total_pins) = {
-            let mut p = Vec::with_capacity(num_nets + 1);
-            let mut total = 0usize;
-            p.push(0usize);
-            for nid in design.net_ids() {
-                total += design.net_pins(nid).len();
-                p.push(total);
-            }
-            (p, total)
-        };
-        let stamp_range = |lo: usize, hi: usize| -> (TripletMatrix, Vec<(u32, f64)>) {
-            let mut cq = TripletMatrix::with_capacity(n, (pin_prefix[hi] - pin_prefix[lo]) * 4);
-            let mut fu: Vec<(u32, f64)> = Vec::new();
-            let mut coords: Vec<f64> = Vec::new();
-            let mut edges: Vec<Edge> = Vec::new();
-            for net_idx in lo..hi {
-                let nid = NetId::from_index(net_idx);
-                let pins = design.net_pins(nid);
-                let w = design.net(nid).weight();
-                coords.clear();
-                coords.extend(pins.iter().map(|p| coord(p.cell) + offset(p)));
-                decompose(self.net_model, w, &coords, self.dist_eps, &mut edges);
-                let star = star_of_net[nid.index()].map(|v| v as usize);
-                for e in &edges {
-                    // Resolve endpoints: (variable index or fixed coordinate, offset).
-                    let resolve = |end: usize| -> (Option<usize>, f64) {
-                        if end == Edge::STAR {
-                            (star, 0.0)
-                        } else {
-                            let pin = &pins[end];
-                            match index.var(pin.cell) {
-                                Some(v) => (Some(v), offset(pin)),
-                                None => (None, coord(pin.cell) + offset(pin)),
-                            }
-                        }
-                    };
-                    let (va, ca) = resolve(e.a);
-                    let (vb, cb) = resolve(e.b);
-                    match (va, vb) {
-                        (Some(i), Some(j)) => {
-                            if i == j {
-                                continue; // both pins on one cell: constant term
-                            }
-                            cq.add_connection(i, j, e.weight);
-                            // (x_i + ca − x_j − cb)² cross terms go to f.
-                            fu.push((i as u32, e.weight * (ca - cb)));
-                            fu.push((j as u32, e.weight * (cb - ca)));
-                        }
-                        (Some(i), None) => {
-                            cq.add_diagonal(i, e.weight);
-                            fu.push((i as u32, e.weight * (ca - cb)));
-                        }
-                        (None, Some(j)) => {
-                            cq.add_diagonal(j, e.weight);
-                            fu.push((j as u32, e.weight * (cb - ca)));
-                        }
-                        (None, None) => {}
-                    }
-                }
-            }
-            (cq, fu)
-        };
-
-        // Pin-count-balanced net ranges, one per runner.
-        let nparts = if num_nets < PAR_MIN_NETS {
-            1
-        } else {
-            complx_par::threads().min(num_nets)
-        };
-        let mut bounds = Vec::with_capacity(nparts + 1);
-        bounds.push(0usize);
-        let mut prev_bound = 0usize;
-        for k in 1..nparts {
-            let target = k * total_pins / nparts;
-            let i = pin_prefix.partition_point(|&p| p < target).min(num_nets);
-            prev_bound = i.max(prev_bound);
-            bounds.push(prev_bound);
-        }
-        bounds.push(num_nets);
-
-        let car = complx_obs::carrier();
-        let parts = complx_par::par_map(nparts, |k| {
-            let _attached = car.attach();
+        let chunks = &mut ws.chunks[..nparts];
+        if nparts == 1 {
             let _sp = complx_obs::span("chunks");
-            stamp_range(bounds[k], bounds[k + 1])
-        });
+            let nets = layout.bounds[0]..layout.bounds[1];
+            self.stamp_nets(design, layout, placement, axis, nets, &mut chunks[0]);
+        } else {
+            let car = complx_obs::carrier();
+            complx_par::scope(|s| {
+                for (k, buf) in chunks.iter_mut().enumerate() {
+                    let car = &car;
+                    s.spawn(move || {
+                        let _attached = car.attach();
+                        let _sp = complx_obs::span("chunks");
+                        let nets = layout.bounds[k]..layout.bounds[k + 1];
+                        self.stamp_nets(design, layout, placement, axis, nets, buf);
+                    });
+                }
+            });
+        }
 
-        let mut q = TripletMatrix::with_capacity(n, design.num_pins() * 4);
-        let mut f = vec![0.0f64; n];
-        for (cq, fu) in &parts {
-            q.append(cq);
-            for &(i, d) in fu {
+        let f = &mut ws.f;
+        let has_diag = &mut ws.has_diag;
+        f.clear();
+        f.resize(n, 0.0);
+        has_diag.clear();
+        has_diag.resize(n, false);
+        for buf in chunks.iter() {
+            for &(i, d) in &buf.f_updates {
                 f[i as usize] += d;
             }
+            for (h, &b) in has_diag.iter_mut().zip(&buf.has_diag) {
+                *h |= b;
+            }
         }
-        drop(parts);
 
         // Anchor pseudonets.
+        let tail = &mut ws.tail;
+        tail.reset(n);
         if let Some(a) = anchors {
             for v in 0..n_cells {
                 let cell = index.cell(v);
-                let c = coord(cell);
-                let w = match axis {
-                    Axis::X => a.weight_x(cell, c),
-                    Axis::Y => a.weight_y(cell, c),
+                let c = axis.coord(placement, cell);
+                let (w, target) = match axis {
+                    Axis::X => (a.weight_x(cell, c), a.targets().xs()[cell.index()]),
+                    Axis::Y => (a.weight_y(cell, c), a.targets().ys()[cell.index()]),
                 };
                 if w > 0.0 {
-                    let target = match axis {
-                        Axis::X => a.targets().xs()[cell.index()],
-                        Axis::Y => a.targets().ys()[cell.index()],
-                    };
-                    q.add_diagonal(v, w);
+                    tail.add_diagonal(v, w);
+                    has_diag[v] = true;
                     f[v] -= w * target;
                 }
             }
         }
 
-        // Regularize disconnected variables so the system stays SPD: pull
-        // them gently toward their current location.
-        let csr_probe = q.to_csr();
-        let diag = csr_probe.diagonal();
-        const REG: f64 = 1e-8;
-        for (v, &d) in diag.iter().enumerate() {
-            if d <= 0.0 {
+        // Regularize variables with no stored diagonal so the system stays
+        // SPD: pull them gently toward their current location. Every
+        // diagonal stamp is a positive weight, so "no stored diagonal" is
+        // exactly "assembled diagonal <= 0".
+        for v in 0..n {
+            if !has_diag[v] {
                 let cur = if v < n_cells {
-                    coord(index.cell(v))
+                    axis.coord(placement, index.cell(v))
                 } else {
-                    // Star variable of a net whose pins are all fixed.
+                    // A star variable: every star edge stamps the star's
+                    // diagonal, so this guards future net models only.
                     0.0
                 };
-                q.add_diagonal(v, REG);
+                tail.add_diagonal(v, REG);
                 f[v] -= REG * cur;
             }
         }
 
-        let a_mat = q.to_csr();
-        debug_assert!(a_mat.is_symmetric(1e-9));
-        let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
+        let parts: Vec<&TripletMatrix> = chunks
+            .iter()
+            .map(|buf| &buf.q)
+            .chain(std::iter::once(&*tail))
+            .collect();
+        ws.csr.assemble(n, &parts, &mut ws.matrix);
+        debug_assert!(ws.matrix.is_symmetric(1e-9));
+        ws.rhs.clear();
+        ws.rhs.extend(f.iter().map(|v| -v));
 
         // Warm start from the current coordinates (star vars at net centroid).
-        let mut x = vec![0.0; n];
-        for (v, xi) in x.iter_mut().enumerate().take(n_cells) {
-            *xi = coord(index.cell(v));
-        }
+        let x = &mut ws.sol[axis as usize];
+        x.clear();
+        x.extend((0..n_cells).map(|v| axis.coord(placement, index.cell(v))));
+        x.resize(n, 0.0);
         for nid in design.net_ids() {
-            if let Some(s) = star_of_net[nid.index()] {
+            if let Some(s) = layout.star_of_net[nid.index()] {
                 let pins = design.net_pins(nid);
-                let c: f64 =
-                    pins.iter().map(|p| coord(p.cell) + offset(p)).sum::<f64>() / pins.len() as f64;
+                let c: f64 = pins
+                    .iter()
+                    .map(|p| axis.coord(placement, p.cell) + axis.offset(p))
+                    .sum::<f64>()
+                    / pins.len() as f64;
                 x[s as usize] = c;
             }
         }
+    }
 
-        drop(assembly_span);
-        let _solve_span = complx_obs::span(match axis {
-            Axis::X => "cg_solve_x",
-            Axis::Y => "cg_solve_y",
+    /// Assembles and solves both axes, then writes the solution back.
+    fn minimize_in(
+        &self,
+        ws: &mut Workspace,
+        design: &Design,
+        placement: &mut Placement,
+        anchors: Option<&Anchors>,
+        cancel: Option<&complx_par::CancelToken>,
+    ) -> MinimizeStats {
+        let layout = Layout::new(design, self.net_model);
+        let [sx, sy] = [Axis::X, Axis::Y].map(|axis| {
+            {
+                let _span = complx_obs::span("b2b_rebuild");
+                self.assemble_axis(design, &layout, ws, placement, anchors, axis);
+            }
+            let _solve_span = complx_obs::span(match axis {
+                Axis::X => "cg_solve_x",
+                Axis::Y => "cg_solve_y",
+            });
+            let x = &mut ws.sol[axis as usize];
+            self.solver
+                .solve_with_cancel(&ws.matrix, &ws.rhs, x, cancel)
         });
-        let stats = self.solver.solve_with_cancel(&a_mat, &rhs, &mut x, cancel);
-        x.truncate(n_cells);
-        (x, stats)
+        let [xs, ys] = &ws.sol;
+        let core = design.core();
+        for v in 0..layout.index.num_vars() {
+            let cell = layout.index.cell(v);
+            let c = design.cell(cell);
+            let hw = (0.5 * c.width()).min(0.5 * core.width());
+            let hh = (0.5 * c.height()).min(0.5 * core.height());
+            let p = Point::new(
+                xs[v].clamp(core.lx + hw, core.hx - hw),
+                ys[v].clamp(core.ly + hh, core.hy - hh),
+            );
+            placement.set_position(cell, p);
+        }
+        MinimizeStats {
+            iterations_x: sx.iterations,
+            iterations_y: sy.iterations,
+            converged: sx.converged && sy.converged,
+            breakdown: sx.breakdown.is_some() || sy.breakdown.is_some(),
+            relative_residual: sx.relative_residual.max(sy.relative_residual),
+            clamped_diagonals: sx.clamped_diagonals + sy.clamped_diagonals,
+        }
     }
 }
 
@@ -362,28 +539,17 @@ impl InterconnectModel for QuadraticModel {
         anchors: Option<&Anchors>,
         cancel: Option<&complx_par::CancelToken>,
     ) -> MinimizeStats {
-        let index = VarIndex::new(design);
-        let (xs, sx) = self.solve_axis(design, &index, placement, anchors, Axis::X, cancel);
-        let (ys, sy) = self.solve_axis(design, &index, placement, anchors, Axis::Y, cancel);
-        let core = design.core();
-        for v in 0..index.num_vars() {
-            let cell = index.cell(v);
-            let c = design.cell(cell);
-            let hw = (0.5 * c.width()).min(0.5 * core.width());
-            let hh = (0.5 * c.height()).min(0.5 * core.height());
-            let p = Point::new(
-                xs[v].clamp(core.lx + hw, core.hx - hw),
-                ys[v].clamp(core.ly + hh, core.hy - hh),
-            );
-            placement.set_position(cell, p);
-        }
-        MinimizeStats {
-            iterations_x: sx.iterations,
-            iterations_y: sy.iterations,
-            converged: sx.converged && sy.converged,
-            breakdown: sx.breakdown.is_some() || sy.breakdown.is_some(),
-            relative_residual: sx.relative_residual.max(sy.relative_residual),
-            clamped_diagonals: sx.clamped_diagonals + sy.clamped_diagonals,
+        match self.scratch.0.try_lock() {
+            Ok(mut ws) => self.minimize_in(&mut ws, design, placement, anchors, cancel),
+            // Buffers are refilled before every read, so a panic that
+            // poisoned the lock left nothing stale behind.
+            Err(TryLockError::Poisoned(p)) => {
+                self.minimize_in(&mut p.into_inner(), design, placement, anchors, cancel)
+            }
+            Err(TryLockError::WouldBlock) => {
+                let mut ws = Workspace::default();
+                self.minimize_in(&mut ws, design, placement, anchors, cancel)
+            }
         }
     }
 }
@@ -562,6 +728,224 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "y drifted at {t} threads");
             }
         }
+    }
+
+    /// The assembly before the one-pass builder, verbatim in behavior: one
+    /// sequential triplet buffer, a probe CSR whose diagonal decides
+    /// regularization, then a second `to_csr`.
+    fn reference_assembly(
+        model: &QuadraticModel,
+        design: &Design,
+        placement: &Placement,
+        anchors: Option<&Anchors>,
+        axis: Axis,
+    ) -> (CsrMatrix, Vec<f64>) {
+        let index = VarIndex::new(design);
+        let n_cells = index.num_vars();
+        let mut star_of_net = vec![None; design.num_nets()];
+        let mut n = n_cells;
+        for nid in design.net_ids() {
+            if model.net_model.uses_star_var(design.net(nid).degree()) {
+                star_of_net[nid.index()] = Some(n);
+                n += 1;
+            }
+        }
+        let mut q = TripletMatrix::new(n);
+        let mut f = vec![0.0f64; n];
+        let mut edges = Vec::new();
+        for nid in design.net_ids() {
+            let pins = design.net_pins(nid);
+            let coords: Vec<f64> = pins
+                .iter()
+                .map(|p| axis.coord(placement, p.cell) + axis.offset(p))
+                .collect();
+            decompose(
+                model.net_model,
+                design.net(nid).weight(),
+                &coords,
+                model.dist_eps,
+                &mut edges,
+            );
+            for e in &edges {
+                let resolve = |end: usize| -> (Option<usize>, f64) {
+                    if end == Edge::STAR {
+                        (star_of_net[nid.index()], 0.0)
+                    } else {
+                        let pin = &pins[end];
+                        match index.var(pin.cell) {
+                            Some(v) => (Some(v), axis.offset(pin)),
+                            None => (None, coords[end]),
+                        }
+                    }
+                };
+                let ((va, ca), (vb, cb)) = (resolve(e.a), resolve(e.b));
+                match (va, vb) {
+                    (Some(i), Some(j)) if i != j => {
+                        q.add_connection(i, j, e.weight);
+                        f[i] += e.weight * (ca - cb);
+                        f[j] += e.weight * (cb - ca);
+                    }
+                    (Some(i), None) => {
+                        q.add_diagonal(i, e.weight);
+                        f[i] += e.weight * (ca - cb);
+                    }
+                    (None, Some(j)) => {
+                        q.add_diagonal(j, e.weight);
+                        f[j] += e.weight * (cb - ca);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if let Some(a) = anchors {
+            for v in 0..n_cells {
+                let cell = index.cell(v);
+                let c = axis.coord(placement, cell);
+                let (w, target) = match axis {
+                    Axis::X => (a.weight_x(cell, c), a.targets().xs()[cell.index()]),
+                    Axis::Y => (a.weight_y(cell, c), a.targets().ys()[cell.index()]),
+                };
+                if w > 0.0 {
+                    q.add_diagonal(v, w);
+                    f[v] -= w * target;
+                }
+            }
+        }
+        let probe = q.to_csr();
+        for (v, &d) in probe.diagonal().iter().enumerate() {
+            if d <= 0.0 {
+                let cur = if v < n_cells {
+                    axis.coord(placement, index.cell(v))
+                } else {
+                    0.0
+                };
+                q.add_diagonal(v, REG);
+                f[v] -= REG * cur;
+            }
+        }
+        (q.to_csr(), f.iter().map(|v| -v).collect())
+    }
+
+    fn assert_same_bits(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(got.dim(), want.dim(), "{what}: dimension");
+        assert_eq!(got.nnz(), want.nnz(), "{what}: nnz");
+        for r in 0..want.dim() {
+            for ((gc, gv), (wc, wv)) in got.row(r).zip(want.row(r)) {
+                assert_eq!(gc, wc, "{what}: row {r} columns");
+                assert_eq!(gv.to_bits(), wv.to_bits(), "{what}: ({r}, {gc})");
+            }
+        }
+    }
+
+    /// A small design with a movable cell on no net (regularized unless
+    /// anchored) and a four-pin net whose pins are all fixed (a star
+    /// variable stamped only against fixed coordinates).
+    fn design_with_isolated_variables() -> Design {
+        let mut b = DesignBuilder::new("iso", Rect::new(0.0, 0.0, 40.0, 40.0), 1.0);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 1.0, 1.0, CellKind::Movable).unwrap();
+        b.add_cell("lonely", 1.0, 1.0, CellKind::Movable).unwrap();
+        let pads: Vec<CellId> = (0..4)
+            .map(|k| {
+                let at = Point::new(5.0 + 10.0 * k as f64, 3.0 + 7.0 * k as f64);
+                b.add_fixed_cell(format!("p{k}"), 1.0, 1.0, CellKind::Terminal, at)
+                    .unwrap()
+            })
+            .collect();
+        b.add_net(
+            "n0",
+            1.0,
+            vec![(pads[0], 0.0, 0.0), (a, 0.5, 0.0), (c, 0.0, -0.5)],
+        )
+        .unwrap();
+        b.add_net(
+            "n1",
+            2.0,
+            vec![(a, 0.0, 0.0), (c, 0.0, 0.0), (pads[1], 0.0, 0.0)],
+        )
+        .unwrap();
+        b.add_net("fixed", 1.0, pads.iter().map(|&p| (p, 0.0, 0.0)).collect())
+            .unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn assembly_matches_reference_path() {
+        let small = GeneratorConfig::small("asm", 12).generate();
+        assert!(small.num_nets() >= super::PAR_MIN_NETS);
+        let iso = design_with_isolated_variables();
+        // One workspace across every case: buffers carry nothing over.
+        let mut ws = Workspace::default();
+        let mut cases = 0;
+        for d in [&small, &iso] {
+            let mut pl = d.initial_placement();
+            for (i, v) in pl.xs_mut().iter_mut().enumerate() {
+                *v += ((i * 37) % 23) as f64 - 11.0;
+            }
+            for (i, v) in pl.ys_mut().iter_mut().enumerate() {
+                *v += ((i * 61) % 19) as f64 - 9.0;
+            }
+            // Zero λ on every third cell: those cells get no anchor stamp.
+            let lambda = (0..d.num_cells())
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        0.5 + i as f64 * 0.01
+                    }
+                })
+                .collect();
+            let anchors = Anchors::per_cell(d, d.initial_placement(), lambda, 1.0);
+            for net_model in [
+                NetModel::Bound2Bound,
+                NetModel::Clique,
+                NetModel::Star,
+                NetModel::HybridCliqueStar,
+            ] {
+                let model = QuadraticModel::new(net_model);
+                for anchors in [None, Some(&anchors)] {
+                    for axis in [Axis::X, Axis::Y] {
+                        let (want_a, want_rhs) = reference_assembly(&model, d, &pl, anchors, axis);
+                        for t in [1, 2, 8] {
+                            let _g = complx_par::with_threads(t);
+                            let layout = Layout::new(d, net_model);
+                            model.assemble_axis(d, &layout, &mut ws, &pl, anchors, axis);
+                            let what = format!(
+                                "{} {net_model:?} anchors={} {axis:?} t={t}",
+                                d.name(),
+                                anchors.is_some()
+                            );
+                            assert_same_bits(&ws.matrix, &want_a, &what);
+                            assert_eq!(ws.rhs.len(), want_rhs.len(), "{what}");
+                            for (v, (g, w)) in ws.rhs.iter().zip(&want_rhs).enumerate() {
+                                assert_eq!(g.to_bits(), w.to_bits(), "{what}: rhs[{v}]");
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 4 * 2 * 2 * 3);
+    }
+
+    #[test]
+    fn isolated_cell_is_regularized_only_without_an_anchor() {
+        let d = design_with_isolated_variables();
+        let pl = d.initial_placement();
+        let model = QuadraticModel::new(NetModel::Star);
+        let layout = Layout::new(&d, NetModel::Star);
+        let lonely = layout.index.var(CellId::from_index(2)).unwrap();
+        let mut ws = Workspace::default();
+        model.assemble_axis(&d, &layout, &mut ws, &pl, None, Axis::X);
+        assert_eq!(ws.matrix.get(lonely, lonely), REG);
+        // The all-fixed net's star variable (the last) is stamped against
+        // its fixed pins, so it needs no regularization.
+        let star = layout.n - 1;
+        assert!(ws.matrix.get(star, star) > REG);
+        let anchors = Anchors::uniform(&d, pl.clone(), 1.0);
+        model.assemble_axis(&d, &layout, &mut ws, &pl, Some(&anchors), Axis::X);
+        assert!(ws.matrix.get(lonely, lonely) > REG);
     }
 
     #[test]
