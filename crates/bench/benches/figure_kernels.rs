@@ -24,12 +24,12 @@ fn bench_iteration_scaling(c: &mut Criterion) {
         let design = GeneratorConfig::ispd2005_like("f3", 9, n).generate();
         let model = QuadraticModel::default();
         let mut p = design.initial_placement();
-        model.minimize(&design, &mut p, None);
+        model.minimize(&design, &mut p, None, None);
         let proj = FeasibilityProjection::default();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut q = p.clone();
-                model.minimize(&design, &mut q, None);
+                model.minimize(&design, &mut q, None, None);
                 black_box(proj.project(&design, &q).distance_l1)
             })
         });
@@ -43,10 +43,10 @@ fn bench_consistency_check(c: &mut Criterion) {
     let model = QuadraticModel::default();
     let proj = FeasibilityProjection::default();
     let mut a = design.initial_placement();
-    model.minimize(&design, &mut a, None);
+    model.minimize(&design, &mut a, None, None);
     let pa = proj.project(&design, &a).placement;
     let mut b = a.clone();
-    model.minimize(&design, &mut b, None);
+    model.minimize(&design, &mut b, None, None);
     let pb = proj.project(&design, &b).placement;
     c.bench_function("s2_consistency_check_4000", |bench| {
         bench.iter(|| black_box(check_consistency(&a, &pa, &b, &pb)))

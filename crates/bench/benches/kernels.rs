@@ -27,7 +27,9 @@ fn bench_cg(c: &mut Criterion) {
     c.bench_function("cg_poisson_5000", |bench| {
         bench.iter(|| {
             let mut x = vec![0.0; n];
-            let stats = CgSolver::new().with_tolerance(1e-6).solve(&a, &b, &mut x);
+            let stats = CgSolver::new()
+                .with_tolerance(1e-6)
+                .solve(&a, &b, &mut x, None);
             black_box(stats.iterations)
         })
     });
@@ -41,7 +43,7 @@ fn bench_quadratic_minimize(c: &mut Criterion) {
         bench.iter_batched(
             || start.clone(),
             |mut p| {
-                model.minimize(&design, &mut p, None);
+                model.minimize(&design, &mut p, None, None);
                 black_box(p.xs()[0])
             },
             BatchSize::LargeInput,
@@ -52,7 +54,7 @@ fn bench_quadratic_minimize(c: &mut Criterion) {
 fn bench_projection(c: &mut Criterion) {
     let design = GeneratorConfig::ispd2005_like("bench_p", 7, 3000).generate();
     let mut p = design.initial_placement();
-    QuadraticModel::default().minimize(&design, &mut p, None);
+    QuadraticModel::default().minimize(&design, &mut p, None, None);
     let proj = FeasibilityProjection::default();
     c.bench_function("feasibility_projection_3000", |bench| {
         bench.iter(|| black_box(proj.project(&design, &p).distance_l1))
@@ -62,7 +64,7 @@ fn bench_projection(c: &mut Criterion) {
 fn bench_legalization(c: &mut Criterion) {
     let design = GeneratorConfig::ispd2005_like("bench_l", 7, 3000).generate();
     let mut p = design.initial_placement();
-    QuadraticModel::default().minimize(&design, &mut p, None);
+    QuadraticModel::default().minimize(&design, &mut p, None, None);
     let spread = FeasibilityProjection::default()
         .project(&design, &p)
         .placement;
@@ -79,7 +81,7 @@ fn bench_legalization(c: &mut Criterion) {
                         max_passes: 1,
                         ..DetailedPlacer::default()
                     }
-                    .improve(&design, p)
+                    .improve(&design, p, None)
                     .stats
                     .moves,
                 )

@@ -46,7 +46,7 @@ fn main() {
 
         let mut lower = design.initial_placement();
         for _ in 0..3 {
-            model.minimize(design, &mut lower, None);
+            model.minimize(design, &mut lower, None, None);
         }
         let mut proj = projection.project_with_bins(design, &lower, bins);
         let phi0 = hpwl::weighted_hpwl(design, &lower);
@@ -62,7 +62,7 @@ fn main() {
         let mut prev_projection = proj.placement.clone();
         for k in 1..=40usize {
             let anchors = Anchors::uniform(design, proj.placement.clone(), schedule.lambda());
-            model.minimize(design, &mut lower, Some(&anchors));
+            model.minimize(design, &mut lower, Some(&anchors), None);
             proj = projection.project_with_bins(design, &lower, bins);
 
             let check = check_consistency(&prev_iterate, &prev_projection, &lower, &proj.placement);

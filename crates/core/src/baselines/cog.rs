@@ -142,7 +142,7 @@ impl CogConstrained {
         let t_detail = Instant::now(); // lint:allow(nondet-taint): phase timer; elapsed seconds feed the report only, never a coordinate
         let legalized = Legalizer::default().legalize(design, &placement);
         let legal = DetailedPlacer::default()
-            .improve(design, legalized.placement)
+            .improve(design, legalized.placement, None)
             .placement;
         let detail_seconds = t_detail.elapsed().as_secs_f64();
 
@@ -415,7 +415,11 @@ fn solve_axis_pair(
         let a = q.to_csr();
         let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
         let mut x: Vec<f64> = (0..n).map(|v| coord(index.cell(v))).collect();
-        axis_stats.push(CgSolver::new().with_tolerance(1e-5).solve(&a, &rhs, &mut x));
+        axis_stats.push(
+            CgSolver::new()
+                .with_tolerance(1e-5)
+                .solve(&a, &rhs, &mut x, None),
+        );
 
         let core = design.core();
         for (v, &xi) in x.iter().enumerate() {

@@ -64,7 +64,7 @@ impl FastPlaceLike {
         {
             let _bootstrap_span = obs::span("bootstrap");
             for _ in 0..3 {
-                let stats = model.minimize(design, &mut lower, None);
+                let stats = model.minimize(design, &mut lower, None, None);
                 solves.push(SolveRecord::from_stats(0, &stats));
             }
         }
@@ -112,7 +112,7 @@ impl FastPlaceLike {
                 anchor_lambda * self.anchor_growth
             };
             let anchors = Anchors::uniform(design, targets.clone(), anchor_lambda);
-            let stats = model.minimize(design, &mut lower, Some(&anchors));
+            let stats = model.minimize(design, &mut lower, Some(&anchors), None);
             solves.push(SolveRecord::from_stats(k, &stats));
 
             // Local diffusion toward less dense areas.
@@ -150,7 +150,7 @@ impl FastPlaceLike {
         let t_detail = Instant::now(); // lint:allow(nondet-taint): phase timer; elapsed seconds feed the report only, never a coordinate
         let legalized = Legalizer::default().legalize(design, &lower);
         let legal = DetailedPlacer::default()
-            .improve(design, legalized.placement)
+            .improve(design, legalized.placement, None)
             .placement;
         let detail_seconds = t_detail.elapsed().as_secs_f64();
 

@@ -71,7 +71,7 @@ impl RqlLike {
         {
             let _bootstrap_span = obs::span("bootstrap");
             for _ in 0..3 {
-                let stats = model.minimize(design, &mut lower, None);
+                let stats = model.minimize(design, &mut lower, None, None);
                 solves.push(SolveRecord::from_stats(0, &stats));
             }
         }
@@ -112,7 +112,7 @@ impl RqlLike {
                 lambda + self.lambda_step * lambda_1
             };
             let anchors = Anchors::uniform(design, targets.clone(), lambda);
-            let stats = model.minimize(design, &mut lower, Some(&anchors));
+            let stats = model.minimize(design, &mut lower, Some(&anchors), None);
             solves.push(SolveRecord::from_stats(k, &stats));
 
             proj = projection.project_with_bins(design, &lower, bins);
@@ -155,7 +155,7 @@ impl RqlLike {
         let t_detail = Instant::now(); // lint:allow(nondet-taint): phase timer; elapsed seconds feed the report only, never a coordinate
         let legalized = Legalizer::default().legalize(design, &best_upper);
         let legal = DetailedPlacer::default()
-            .improve(design, legalized.placement)
+            .improve(design, legalized.placement, None)
             .placement;
         let detail_seconds = t_detail.elapsed().as_secs_f64();
 

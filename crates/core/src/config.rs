@@ -28,6 +28,20 @@ pub enum Interconnect {
     },
 }
 
+impl Interconnect {
+    /// Why this choice's smoothing parameter is unusable, if it is: γ and β
+    /// must be positive and finite, `p` finite and at least 2.
+    pub(crate) fn parameter_error(&self) -> Option<String> {
+        let usable = match *self {
+            Interconnect::Quadratic(_) => true,
+            Interconnect::LogSumExp { gamma_rows: v }
+            | Interconnect::BetaRegularized { beta_rows2: v } => v > 0.0 && v.is_finite(),
+            Interconnect::PNorm { p } => p >= 2.0 && p.is_finite(),
+        };
+        (!usable).then(|| format!("interconnect parameter out of range: {self:?}"))
+    }
+}
+
 impl Default for Interconnect {
     fn default() -> Self {
         Interconnect::Quadratic(NetModel::Bound2Bound)

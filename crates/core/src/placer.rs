@@ -166,10 +166,12 @@ impl ComplxPlacer {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlaceError`] when the design is unplaceable, the solver
-    /// breaks down before a feasible iterate exists, the run diverges past
-    /// the recovery budget, or the time budget expires before any feasible
-    /// iterate was produced. See [`PlaceError`] for the variants.
+    /// Returns a [`PlaceError`] when the design is unplaceable or a smooth
+    /// interconnect parameter is out of range (both
+    /// [`PlaceError::InvalidDesign`]), the solver breaks down before a
+    /// feasible iterate exists, the run diverges past the recovery budget,
+    /// or the time budget expires before any feasible iterate was
+    /// produced. See [`PlaceError`] for the variants.
     pub fn place(&self, design: &Design) -> Result<PlacementOutcome, PlaceError> {
         self.run(design, None, None)
     }
@@ -261,6 +263,9 @@ impl ComplxPlacer {
                     reason: "criticality contains non-finite or negative factors".into(),
                 });
             }
+        }
+        if let Some(reason) = self.config.interconnect.parameter_error() {
+            return Err(PlaceError::InvalidDesign { reason });
         }
         validate_design(design)?;
         let _place_span = obs::span("place");
@@ -388,12 +393,9 @@ impl<'a> Run<'a> {
         let mut solves = Vec::new();
         let mut lower = design.initial_placement();
         for _ in 0..3 {
-            let stats = self.model.minimize_with_cancel(
-                design,
-                &mut lower,
-                None,
-                self.budget.cancel_token(),
-            );
+            let stats = self
+                .model
+                .minimize(design, &mut lower, None, self.budget.cancel_token());
             solves.push(SolveRecord::from_stats(0, &stats));
             if stats.breakdown {
                 return Err(PlaceError::SolverBreakdown {
@@ -524,7 +526,7 @@ impl<'a> Run<'a> {
             .collect();
         let anchors =
             Anchors::per_cell(design, st.upper.clone(), lambdas, 1.5 * design.row_height());
-        let stats = self.model.minimize_with_cancel(
+        let stats = self.model.minimize(
             design,
             &mut st.lower,
             Some(&anchors),
@@ -649,7 +651,7 @@ impl<'a> Run<'a> {
                 max_passes: 1,
                 ..DetailedPlacer::default()
             }
-            .improve(design, legalized.placement)
+            .improve(design, legalized.placement, None)
             .placement;
         }
         Ok(proj)
@@ -745,7 +747,7 @@ impl<'a> Run<'a> {
                 legalized.placement
             } else {
                 DetailedPlacer::default()
-                    .improve_with_cancel(design, legalized.placement, self.budget.cancel_token())
+                    .improve(design, legalized.placement, self.budget.cancel_token())
                     .placement
             }
         } else {

@@ -192,6 +192,36 @@ fn nan_criticality_is_invalid_design() {
 }
 
 #[test]
+fn bad_smooth_model_parameters_are_invalid_design_not_panic() {
+    use complx_place::Interconnect;
+    let d = small(13);
+    for ic in [
+        Interconnect::PNorm { p: 1.0 },
+        Interconnect::PNorm { p: f64::INFINITY },
+        Interconnect::LogSumExp {
+            gamma_rows: f64::NAN,
+        },
+        Interconnect::LogSumExp { gamma_rows: -1.0 },
+        Interconnect::BetaRegularized { beta_rows2: 0.0 },
+        Interconnect::BetaRegularized {
+            beta_rows2: f64::INFINITY,
+        },
+    ] {
+        let err = ComplxPlacer::new(PlacerConfig {
+            interconnect: ic,
+            ..PlacerConfig::fast()
+        })
+        .place(&d)
+        .expect_err("bad smooth-model parameter");
+        assert!(
+            matches!(err, PlaceError::InvalidDesign { .. }),
+            "{ic:?}: {err}"
+        );
+        assert_eq!(err.exit_code(), 3, "{ic:?}");
+    }
+}
+
+#[test]
 fn design_with_no_movable_cells_places_trivially_without_panic() {
     use complx_netlist::{CellKind, DesignBuilder, Point, Rect};
     let mut b = DesignBuilder::new("allfixed", Rect::new(0.0, 0.0, 10.0, 10.0), 1.0);

@@ -131,16 +131,12 @@ impl DetailedPlacer {
     /// The input is assumed legal (row-aligned, overlap-free); illegal
     /// inputs are refined on a best-effort basis but legality is only
     /// preserved, not established.
-    pub fn improve(&self, design: &Design, placement: Placement) -> DetailResult {
-        self.improve_with_cancel(design, placement, None)
-    }
-
-    /// [`Self::improve`] with a cooperative cancellation point between
-    /// passes: when `cancel` trips, no further pass starts and the result is
-    /// whatever the completed passes produced — still legal, and HPWL never
-    /// worse than the input. An untripped token is bit-identical to
-    /// [`Self::improve`].
-    pub fn improve_with_cancel(
+    ///
+    /// `cancel` is a cooperative cancellation point between passes: when it
+    /// trips, no further pass starts and the result is whatever the
+    /// completed passes produced — still legal, and HPWL never worse than
+    /// the input. `None` and an untripped token give identical bits.
+    pub fn improve(
         &self,
         design: &Design,
         placement: Placement,
@@ -494,21 +490,21 @@ mod tests {
     #[test]
     fn improve_never_increases_hpwl() {
         let (d, p) = legal_start(41);
-        let res = DetailedPlacer::default().improve(&d, p);
+        let res = DetailedPlacer::default().improve(&d, p, None);
         assert!(res.stats.hpwl_after <= res.stats.hpwl_before + 1e-6);
     }
 
     #[test]
     fn improve_preserves_legality() {
         let (d, p) = legal_start(42);
-        let res = DetailedPlacer::default().improve(&d, p);
+        let res = DetailedPlacer::default().improve(&d, p, None);
         assert!(is_legal(&d, &res.placement, 1e-6));
     }
 
     #[test]
     fn improve_actually_improves_poor_placements() {
         let (d, p) = legal_start(43);
-        let res = DetailedPlacer::default().improve(&d, p);
+        let res = DetailedPlacer::default().improve(&d, p, None);
         assert!(
             res.stats.hpwl_after < res.stats.hpwl_before,
             "no improvement found: {:?}",
@@ -520,15 +516,18 @@ mod tests {
     #[test]
     fn improve_is_deterministic() {
         let (d, p) = legal_start(44);
-        let a = DetailedPlacer::default().improve(&d, p.clone());
-        let b = DetailedPlacer::default().improve(&d, p);
+        let a = DetailedPlacer::default().improve(&d, p.clone(), None);
+        // An untripped token changes nothing, bit for bit.
+        let token = complx_par::CancelToken::new();
+        let b = DetailedPlacer::default().improve(&d, p, Some(&token));
         assert_eq!(a.placement, b.placement);
+        assert_eq!(a.stats.hpwl_after.to_bits(), b.stats.hpwl_after.to_bits());
     }
 
     #[test]
     fn reported_hpwl_matches_batch_recompute() {
         let (d, p) = legal_start(46);
-        let res = DetailedPlacer::default().improve(&d, p);
+        let res = DetailedPlacer::default().improve(&d, p, None);
         let batch = hpwl::weighted_hpwl(&d, &res.placement);
         assert!(
             (res.stats.hpwl_after - batch).abs() < 1e-6 * batch.max(1.0),

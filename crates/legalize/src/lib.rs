@@ -25,7 +25,7 @@
 //! let global = design.initial_placement();
 //! let legal = Legalizer::default().legalize(&design, &global);
 //! assert!(complx_legalize::is_legal(&design, &legal.placement, 1e-6));
-//! let refined = DetailedPlacer::default().improve(&design, legal.placement);
+//! let refined = DetailedPlacer::default().improve(&design, legal.placement, None);
 //! assert!(complx_legalize::is_legal(&design, &refined.placement, 1e-6));
 //! ```
 

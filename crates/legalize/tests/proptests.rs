@@ -67,7 +67,7 @@ proptest! {
         let d = cfg.generate();
         let legal = Legalizer::default().legalize(&d, &scatter(&d, seed)).placement;
         let before = hpwl::weighted_hpwl(&d, &legal);
-        let res = DetailedPlacer::default().improve(&d, legal);
+        let res = DetailedPlacer::default().improve(&d, legal, None);
         prop_assert!(res.stats.hpwl_after <= before + 1e-6);
         prop_assert!(is_legal(&d, &res.placement, 1e-6));
     }

@@ -62,7 +62,7 @@ pub struct SolveStats {
 /// t.add(1, 1, 8.0);
 /// let a = t.to_csr();
 /// let mut x = vec![0.0; 2];
-/// let stats = CgSolver::new().with_tolerance(1e-12).solve(&a, &[2.0, 8.0], &mut x);
+/// let stats = CgSolver::new().with_tolerance(1e-12).solve(&a, &[2.0, 8.0], &mut x, None);
 /// assert!(stats.converged);
 /// assert!((x[0] - 1.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9);
 /// ```
@@ -118,23 +118,16 @@ impl CgSolver {
     /// identity preconditioner row and counted in
     /// [`SolveStats::clamped_diagonals`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `b` or `x` have length different from `a.dim()`.
-    pub fn solve(&self, a: &CsrMatrix, b: &[f64], x: &mut [f64]) -> SolveStats {
-        self.solve_with_cancel(a, b, x, None)
-    }
-
-    /// [`Self::solve`] with a cooperative cancellation point at every CG
-    /// iteration: when `cancel` trips, the solver stops after the iteration
-    /// in flight and returns the last accepted iterate (reported as
-    /// unconverged, never as a breakdown). With `cancel: None` — or a token
-    /// that never trips — this is bit-identical to [`Self::solve`].
+    /// `cancel` is a cooperative cancellation point at every CG iteration:
+    /// when it trips, the solver stops after the iteration in flight and
+    /// returns the last accepted iterate (reported as unconverged, never as
+    /// a breakdown). With `None` or a token that never trips the result is
+    /// bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `b` or `x` have length different from `a.dim()`.
-    pub fn solve_with_cancel(
+    pub fn solve(
         &self,
         a: &CsrMatrix,
         b: &[f64],
@@ -329,7 +322,7 @@ mod tests {
         }
         let a = t.to_csr();
         let mut x = vec![0.0; 3];
-        let stats = CgSolver::new().solve(&a, &[1.0, 2.0, 3.0], &mut x);
+        let stats = CgSolver::new().solve(&a, &[1.0, 2.0, 3.0], &mut x, None);
         assert!(stats.converged);
         assert_eq!(stats.iterations, 1);
         for (xi, bi) in x.iter().zip([1.0, 2.0, 3.0]) {
@@ -346,7 +339,9 @@ mod tests {
         let mut b = vec![0.0; n];
         a.mul_vec(&xs, &mut b);
         let mut x = vec![0.0; n];
-        let stats = CgSolver::new().with_tolerance(1e-10).solve(&a, &b, &mut x);
+        let stats = CgSolver::new()
+            .with_tolerance(1e-10)
+            .solve(&a, &b, &mut x, None);
         assert!(stats.converged, "stats: {stats:?}");
         for (xi, xsi) in x.iter().zip(&xs) {
             assert!((xi - xsi).abs() < 1e-6);
@@ -361,7 +356,7 @@ mod tests {
         let mut b = vec![0.0; n];
         a.mul_vec(&xs, &mut b);
         let mut x = xs.clone();
-        let stats = CgSolver::new().solve(&a, &b, &mut x);
+        let stats = CgSolver::new().solve(&a, &b, &mut x, None);
         assert_eq!(stats.iterations, 0);
         assert!(stats.converged);
     }
@@ -370,7 +365,7 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let a = poisson(10);
         let mut x = vec![5.0; 10];
-        let stats = CgSolver::new().solve(&a, &[0.0; 10], &mut x);
+        let stats = CgSolver::new().solve(&a, &[0.0; 10], &mut x, None);
         assert!(stats.converged);
         assert!(x.iter().all(|&v| v == 0.0));
     }
@@ -379,7 +374,7 @@ mod tests {
     fn empty_system() {
         let a = TripletMatrix::new(0).to_csr();
         let mut x: Vec<f64> = vec![];
-        let stats = CgSolver::new().solve(&a, &[], &mut x);
+        let stats = CgSolver::new().solve(&a, &[], &mut x, None);
         assert!(stats.converged);
     }
 
@@ -391,7 +386,7 @@ mod tests {
         let stats = CgSolver::new()
             .with_tolerance(1e-14)
             .with_max_iterations(3)
-            .solve(&a, &b, &mut x);
+            .solve(&a, &b, &mut x, None);
         assert_eq!(stats.iterations, 3);
         assert!(!stats.converged);
     }
@@ -404,7 +399,7 @@ mod tests {
         // divide by zero without the clamp.
         let a = t.to_csr();
         let mut x = vec![0.0; 2];
-        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x);
+        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, None);
         assert_eq!(stats.clamped_diagonals, 1);
         assert!(x.iter().all(|v| v.is_finite()), "x stays finite: {x:?}");
         // The system is singular, so the solve cannot truly converge; it
@@ -419,7 +414,7 @@ mod tests {
         t.add(1, 1, -1.0); // negative diagonal → not SPD
         let a = t.to_csr();
         let mut x = vec![0.0; 2];
-        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x);
+        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, None);
         assert!(!stats.converged);
         assert!(
             matches!(
@@ -436,7 +431,7 @@ mod tests {
     fn nonfinite_rhs_reports_breakdown_and_keeps_x_finite() {
         let a = poisson(4);
         let mut x = vec![f64::NAN; 4];
-        let stats = CgSolver::new().solve(&a, &[1.0, f64::NAN, 1.0, 1.0], &mut x);
+        let stats = CgSolver::new().solve(&a, &[1.0, f64::NAN, 1.0, 1.0], &mut x, None);
         assert!(!stats.converged);
         assert_eq!(stats.breakdown, Some(CgBreakdown::NonFinite));
         assert!(x.iter().all(|v| v.is_finite()), "x sanitized: {x:?}");
@@ -448,7 +443,9 @@ mod tests {
         let a = poisson(n);
         let b = vec![1.0; n];
         let mut x = vec![f64::INFINITY; n];
-        let stats = CgSolver::new().with_tolerance(1e-10).solve(&a, &b, &mut x);
+        let stats = CgSolver::new()
+            .with_tolerance(1e-10)
+            .solve(&a, &b, &mut x, None);
         assert!(stats.converged, "stats: {stats:?}");
         assert!(stats.breakdown.is_none());
         assert!(x.iter().all(|v| v.is_finite()));
@@ -462,10 +459,9 @@ mod tests {
         let mut x = vec![0.0; n];
         let token = complx_par::CancelToken::new();
         token.cancel();
-        let stats =
-            CgSolver::new()
-                .with_tolerance(1e-12)
-                .solve_with_cancel(&a, &b, &mut x, Some(&token));
+        let stats = CgSolver::new()
+            .with_tolerance(1e-12)
+            .solve(&a, &b, &mut x, Some(&token));
         assert_eq!(stats.iterations, 0);
         assert!(!stats.converged);
         assert!(stats.breakdown.is_none(), "cancel is not a breakdown");
@@ -473,15 +469,15 @@ mod tests {
     }
 
     #[test]
-    fn untripped_token_is_bit_identical_to_plain_solve() {
+    fn untripped_token_is_bit_identical_to_no_token() {
         let n = 120;
         let a = poisson(n);
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
         let token = complx_par::CancelToken::new();
-        let s1 = CgSolver::new().solve(&a, &b, &mut x1);
-        let s2 = CgSolver::new().solve_with_cancel(&a, &b, &mut x2, Some(&token));
+        let s1 = CgSolver::new().solve(&a, &b, &mut x1, None);
+        let s2 = CgSolver::new().solve(&a, &b, &mut x2, Some(&token));
         assert_eq!(s1, s2);
         for (a1, a2) in x1.iter().zip(&x2) {
             assert_eq!(a1.to_bits(), a2.to_bits());

@@ -32,7 +32,7 @@
 //!
 //! let b = [1.0, 2.0];
 //! let mut x = vec![0.0; 2];
-//! let stats = CgSolver::new().solve(&a, &b, &mut x);
+//! let stats = CgSolver::new().solve(&a, &b, &mut x, None);
 //! assert!(stats.converged);
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-8);
 //! ```

@@ -178,7 +178,7 @@ proptest! {
         let mut b = vec![0.0; 20];
         a.mul_vec(&xs, &mut b);
         let mut x = vec![0.0; 20];
-        let stats = CgSolver::new().with_tolerance(1e-10).solve(&a, &b, &mut x);
+        let stats = CgSolver::new().with_tolerance(1e-10).solve(&a, &b, &mut x, None);
         prop_assert!(stats.converged);
         // Residual check (the solution itself may be ill-conditioned).
         let mut ax = vec![0.0; 20];

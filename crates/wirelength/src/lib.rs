@@ -9,8 +9,10 @@
 //! * [`QuadraticModel`] — linearized quadratic Φ with a pluggable
 //!   [`NetModel`] (Bound2Bound of Kraftwerk2, clique, star, or a hybrid),
 //!   solved by Jacobi-preconditioned Conjugate Gradient (paper Sections 2, 5).
-//! * [`LseModel`] — the log-sum-exp smoothing of HPWL (paper Section S1)
-//!   minimized by nonlinear Conjugate Gradient.
+//! * [`SmoothModel`] — the smooth Φ of paper Section S1 minimized by
+//!   nonlinear Conjugate Gradient: one skeleton over a per-net
+//!   [`NetKernel`], with the log-sum-exp ([`LseModel`]), β-regularization
+//!   ([`BetaRegModel`]) and p,β-regularization ([`PNormModel`]) kernels.
 //! * [`Anchors`] — the linearized `L1` penalty term of the simplified
 //!   Lagrangian (Formula 10): each movable cell is pulled toward its anchor
 //!   `(x°, y°)` with weight `λ_i / (|x_i − x_i°| + ε)`.
@@ -25,7 +27,7 @@
 //! let mut placement = design.initial_placement();
 //! let model = QuadraticModel::default();
 //! // Unconstrained quadratic optimum (the first ComPLx iterate, λ = 0):
-//! model.minimize(&design, &mut placement, None);
+//! model.minimize(&design, &mut placement, None, None);
 //! assert!(complx_netlist::hpwl::hpwl(&design, &placement) > 0.0);
 //! ```
 
@@ -34,18 +36,15 @@
 
 mod anchors;
 mod b2b;
-mod betareg;
-mod lse;
 mod model;
 mod nlcg;
-mod pnorm;
+mod smooth;
 mod system;
 
 pub use anchors::Anchors;
 pub use b2b::{decompose as decompose_net, Edge, NetModel};
-pub use betareg::BetaRegModel;
-pub use lse::LseModel;
 pub use model::{InterconnectModel, MinimizeStats};
-pub use nlcg::{NlcgStats, SmoothObjective};
-pub use pnorm::PNormModel;
+pub use smooth::{
+    BetaReg, BetaRegModel, Lse, LseModel, Net, NetKernel, PNorm, PNormModel, SmoothModel,
+};
 pub use system::{QuadraticModel, VarIndex};

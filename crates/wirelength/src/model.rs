@@ -1,6 +1,6 @@
 //! The pluggable interconnect-model trait.
 
-use complx_netlist::{Design, Placement};
+use complx_netlist::{CellId, Design, Placement, Point};
 
 use crate::anchors::Anchors;
 
@@ -42,26 +42,30 @@ pub trait InterconnectModel {
 
     /// Minimizes `Φ + penalty(anchors)` starting from (and linearizing at)
     /// `placement`, writing the minimizer back into `placement`.
+    ///
+    /// `cancel` is a cooperative cancellation point in the model's inner
+    /// solver loop: when it trips mid-solve, the model stops early and
+    /// writes back its last consistent (finite) iterate. With `None` or an
+    /// untripped token the result is bit-identical.
     fn minimize(
         &self,
         design: &Design,
         placement: &mut Placement,
         anchors: Option<&Anchors>,
+        cancel: Option<&complx_par::CancelToken>,
     ) -> MinimizeStats;
+}
 
-    /// [`Self::minimize`] with a cooperative cancellation point in the
-    /// model's inner solver loop: when `cancel` trips mid-solve, the model
-    /// stops early and writes back its last consistent (finite) iterate.
-    /// The default implementation ignores the token — models without an
-    /// interruptible inner loop are simply uncancellable mid-step. With an
-    /// untripped token the result is bit-identical to [`Self::minimize`].
-    fn minimize_with_cancel(
-        &self,
-        design: &Design,
-        placement: &mut Placement,
-        anchors: Option<&Anchors>,
-        _cancel: Option<&complx_par::CancelToken>,
-    ) -> MinimizeStats {
-        self.minimize(design, placement, anchors)
-    }
+/// `p` moved so that cell `id`, centered there, lies inside the core (the
+/// center is pinned to the core's middle on an axis where the cell is
+/// wider than the core). Every model writes its minimizer back through this.
+pub(crate) fn clamp_to_core(design: &Design, id: CellId, p: Point) -> Point {
+    let core = design.core();
+    let c = design.cell(id);
+    let hw = (0.5 * c.width()).min(0.5 * core.width());
+    let hh = (0.5 * c.height()).min(0.5 * core.height());
+    Point::new(
+        p.x.clamp(core.lx + hw, core.hx - hw),
+        p.y.clamp(core.ly + hh, core.hy - hh),
+    )
 }

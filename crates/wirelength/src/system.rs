@@ -18,7 +18,7 @@ const REG: f64 = 1e-8;
 
 use crate::anchors::Anchors;
 use crate::b2b::{decompose, Edge, NetModel};
-use crate::model::{InterconnectModel, MinimizeStats};
+use crate::model::{clamp_to_core, InterconnectModel, MinimizeStats};
 
 /// Maps movable cells to solver-variable indices (and back).
 ///
@@ -480,20 +480,12 @@ impl QuadraticModel {
                 Axis::Y => "cg_solve_y",
             });
             let x = &mut ws.sol[axis as usize];
-            self.solver
-                .solve_with_cancel(&ws.matrix, &ws.rhs, x, cancel)
+            self.solver.solve(&ws.matrix, &ws.rhs, x, cancel)
         });
         let [xs, ys] = &ws.sol;
-        let core = design.core();
         for v in 0..layout.index.num_vars() {
             let cell = layout.index.cell(v);
-            let c = design.cell(cell);
-            let hw = (0.5 * c.width()).min(0.5 * core.width());
-            let hh = (0.5 * c.height()).min(0.5 * core.height());
-            let p = Point::new(
-                xs[v].clamp(core.lx + hw, core.hx - hw),
-                ys[v].clamp(core.ly + hh, core.hy - hh),
-            );
+            let p = clamp_to_core(design, cell, Point::new(xs[v], ys[v]));
             placement.set_position(cell, p);
         }
         MinimizeStats {
@@ -524,15 +516,6 @@ impl InterconnectModel for QuadraticModel {
     }
 
     fn minimize(
-        &self,
-        design: &Design,
-        placement: &mut Placement,
-        anchors: Option<&Anchors>,
-    ) -> MinimizeStats {
-        self.minimize_with_cancel(design, placement, anchors, None)
-    }
-
-    fn minimize_with_cancel(
         &self,
         design: &Design,
         placement: &mut Placement,
@@ -596,7 +579,7 @@ mod tests {
         let d = b.build().unwrap();
         let mut pl = d.initial_placement();
         let model = QuadraticModel::new(NetModel::Clique); // no linearization
-        let stats = model.minimize(&d, &mut pl, None);
+        let stats = model.minimize(&d, &mut pl, None, None);
         assert!(stats.converged);
         assert!(
             (pl.position(a).x - 10.0).abs() < 1e-4,
@@ -625,7 +608,7 @@ mod tests {
         }
         let before = hpwl::hpwl(&d, &pl);
         let model = QuadraticModel::default();
-        model.minimize(&d, &mut pl, None);
+        model.minimize(&d, &mut pl, None, None);
         let after = hpwl::hpwl(&d, &pl);
         assert!(after < before, "hpwl {before} -> {after}");
     }
@@ -636,10 +619,10 @@ mod tests {
         let d = GeneratorConfig::small("it", 3).generate();
         let model = QuadraticModel::default();
         let mut pl = d.initial_placement();
-        model.minimize(&d, &mut pl, None);
+        model.minimize(&d, &mut pl, None, None);
         let first = hpwl::hpwl(&d, &pl);
         for _ in 0..5 {
-            model.minimize(&d, &mut pl, None);
+            model.minimize(&d, &mut pl, None, None);
         }
         let refined = hpwl::hpwl(&d, &pl);
         assert!(
@@ -653,7 +636,7 @@ mod tests {
         let d = GeneratorConfig::small("an", 4).generate();
         let model = QuadraticModel::default();
         let mut free = d.initial_placement();
-        model.minimize(&d, &mut free, None);
+        model.minimize(&d, &mut free, None, None);
 
         // Anchor every cell at the core corner with a large λ.
         let mut targets = free.clone();
@@ -662,7 +645,7 @@ mod tests {
         }
         let anchors = Anchors::uniform(&d, targets.clone(), 1000.0);
         let mut anchored = free.clone();
-        model.minimize(&d, &mut anchored, Some(&anchors));
+        model.minimize(&d, &mut anchored, Some(&anchors), None);
         let before = anchors.penalty(&free);
         let after = anchors.penalty(&anchored);
         assert!(after < before * 0.5, "penalty {before} -> {after}");
@@ -678,7 +661,7 @@ mod tests {
             .filter(|&id| !d.cell(id).is_movable())
             .map(|id| (id, pl.position(id)))
             .collect();
-        model.minimize(&d, &mut pl, None);
+        model.minimize(&d, &mut pl, None, None);
         for (id, p) in fixed {
             assert_eq!(pl.position(id), p);
         }
@@ -694,7 +677,7 @@ mod tests {
             QuadraticModel::new(NetModel::HybridCliqueStar),
         ] {
             let mut pl = d.initial_placement();
-            model.minimize(&d, &mut pl, None);
+            model.minimize(&d, &mut pl, None, None);
             let core = d.core();
             for &id in d.movable_cells() {
                 let p = pl.position(id);
@@ -714,7 +697,7 @@ mod tests {
             let _g = complx_par::with_threads(t);
             let mut pl = d.initial_placement();
             for _ in 0..2 {
-                model.minimize(&d, &mut pl, None);
+                model.minimize(&d, &mut pl, None, None);
             }
             pl
         };
@@ -959,7 +942,7 @@ mod tests {
         ] {
             let mut pl = d.initial_placement();
             for _ in 0..3 {
-                model.minimize(&d, &mut pl, None);
+                model.minimize(&d, &mut pl, None, None);
             }
             results.push(hpwl::hpwl(&d, &pl));
         }

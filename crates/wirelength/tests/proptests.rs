@@ -65,7 +65,7 @@ proptest! {
         let d = cfg.generate();
         let model = QuadraticModel::default();
         let mut base = d.initial_placement();
-        model.minimize(&d, &mut base, None);
+        model.minimize(&d, &mut base, None, None);
 
         // Anchor targets: everything at the lower-left corner.
         let mut targets = base.clone();
@@ -77,7 +77,7 @@ proptest! {
         for lambda in [0.01, 1.0, 100.0] {
             let anchors = Anchors::uniform(&d, targets.clone(), lambda);
             let mut p = base.clone();
-            model.minimize(&d, &mut p, Some(&anchors));
+            model.minimize(&d, &mut p, Some(&anchors), None);
             dists.push(p.l1_distance(&targets));
         }
         prop_assert!(dists[0] >= dists[1] * 0.999, "{dists:?}");
@@ -107,7 +107,7 @@ proptest! {
             .filter(|&id| !d.cell(id).is_movable())
             .map(|id| (id, p.position(id)))
             .collect();
-        model.minimize(&d, &mut p, None);
+        model.minimize(&d, &mut p, None, None);
         for (id, pos) in before {
             prop_assert_eq!(p.position(id), pos);
         }
@@ -126,8 +126,8 @@ proptest! {
         let model = QuadraticModel::default();
         let mut p1 = d.initial_placement();
         let mut p2 = d.initial_placement();
-        model.minimize(&d, &mut p1, None);
-        model.minimize(&d, &mut p2, None);
+        model.minimize(&d, &mut p1, None, None);
+        model.minimize(&d, &mut p2, None, None);
         prop_assert_eq!(p1, p2);
     }
 }

@@ -93,6 +93,26 @@ echo "== electro: FFT projection backend solves, verifies, and is thread-determi
 cmp "$smoke_dir/trace_electro_t1.csv" "$smoke_dir/trace_electro_t4.csv"
 cmp "$smoke_dir/electro_t4/smoke.pl" "$smoke_dir/electro_t1/smoke.pl"
 
+echo "== smooth: a log-sum-exp run solves, verifies, and is thread-deterministic =="
+# The same smoke bundle through the smooth-model skeleton (--lse 4, paper
+# §S1): the solution must be audit-legal, the trace must satisfy the
+# paper's invariants, the report must validate and match the oracle's
+# recount, and the 1-thread and 4-thread runs must agree byte for byte.
+./target/release/complx "$aux" -q --max-iterations 15 --threads 4 --lse 4 \
+    -o "$smoke_dir/lse_t4" \
+    --trace "$smoke_dir/trace_lse_t4.csv" \
+    --report "$smoke_dir/report_lse.json"
+./target/release/report_check "$smoke_dir/report_lse.json"
+./target/release/complx-verify "$aux" \
+    --solution "$smoke_dir/lse_t4/smoke.aux" \
+    --trace "$smoke_dir/trace_lse_t4.csv" \
+    --report "$smoke_dir/report_lse.json"
+./target/release/complx "$aux" -q --max-iterations 15 --threads 1 --lse 4 \
+    -o "$smoke_dir/lse_t1" \
+    --trace "$smoke_dir/trace_lse_t1.csv"
+cmp "$smoke_dir/trace_lse_t1.csv" "$smoke_dir/trace_lse_t4.csv"
+cmp "$smoke_dir/lse_t4/smoke.pl" "$smoke_dir/lse_t1/smoke.pl"
+
 echo "== CLI determinism: --threads 1 (unprofiled) matches --threads 4 (profiled) =="
 ./target/release/complx "$aux" -q --max-iterations 15 --threads 1 \
     -o "$smoke_dir/solution_t1" \

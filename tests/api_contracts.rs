@@ -39,7 +39,7 @@ fn interconnect_models_work_as_trait_objects() {
     ];
     for m in &models {
         let mut p = design.initial_placement();
-        let stats = m.minimize(&design, &mut p, None);
+        let stats = m.minimize(&design, &mut p, None, None);
         assert!(stats.converged || stats.iterations_x > 0, "{}", m.name());
         assert!(m.wirelength(&design, &p).is_finite());
     }

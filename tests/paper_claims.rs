@@ -119,7 +119,7 @@ fn projection_self_consistency_is_high() {
 
     let mut lower = design.initial_placement();
     for _ in 0..3 {
-        model.minimize(&design, &mut lower, None);
+        model.minimize(&design, &mut lower, None, None);
     }
     let mut proj = projection.project_with_bins(&design, &lower, bins);
     let mut stats = ConsistencyStats::default();
@@ -127,7 +127,7 @@ fn projection_self_consistency_is_high() {
     let mut prev = (lower.clone(), proj.placement.clone());
     for _ in 0..25 {
         let anchors = Anchors::uniform(&design, proj.placement.clone(), lambda);
-        model.minimize(&design, &mut lower, Some(&anchors));
+        model.minimize(&design, &mut lower, Some(&anchors), None);
         proj = projection.project_with_bins(&design, &lower, bins);
         stats.record(check_consistency(&prev.0, &prev.1, &lower, &proj.placement));
         prev = (lower.clone(), proj.placement.clone());
