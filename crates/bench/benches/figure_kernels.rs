@@ -78,35 +78,7 @@ fn bench_region_constraint(c: &mut Criterion) {
     let base = GeneratorConfig::small("f4", 9).generate();
     let core = base.core();
     let cells: Vec<_> = base.movable_cells().iter().copied().take(50).collect();
-    let mut b = DesignBuilder::new("f4r", core, base.row_height());
-    for id in base.cell_ids() {
-        let cell = base.cell(id);
-        if cell.is_movable() {
-            b.add_cell(cell.name(), cell.width(), cell.height(), cell.kind())
-                .expect("valid cell");
-        } else {
-            b.add_fixed_cell(
-                cell.name(),
-                cell.width(),
-                cell.height(),
-                cell.kind(),
-                base.fixed_positions().position(id),
-            )
-            .expect("valid cell");
-        }
-    }
-    for nid in base.net_ids() {
-        let n = base.net(nid);
-        b.add_net(
-            n.name(),
-            n.weight(),
-            base.net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect(),
-        )
-        .expect("valid net");
-    }
+    let mut b = DesignBuilder::from_design(&base);
     b.add_region(RegionConstraint::new(
         "r",
         Rect::new(

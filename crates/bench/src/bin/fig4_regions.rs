@@ -59,38 +59,8 @@ fn main() {
     });
     let chosen: Vec<_> = by_distance.into_iter().take(50).collect();
 
-    // Rebuild the design with the region attached.
-    let mut b = DesignBuilder::new(base.name(), base.core(), base.row_height());
-    b.set_target_density(base.target_density())
-        .expect("valid density");
-    for id in base.cell_ids() {
-        let c = base.cell(id);
-        if c.is_movable() {
-            b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                .expect("valid cell");
-        } else {
-            b.add_fixed_cell(
-                c.name(),
-                c.width(),
-                c.height(),
-                c.kind(),
-                base.fixed_positions().position(id),
-            )
-            .expect("valid cell");
-        }
-    }
-    for nid in base.net_ids() {
-        let n = base.net(nid);
-        b.add_net(
-            n.name(),
-            n.weight(),
-            base.net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect(),
-        )
-        .expect("valid net");
-    }
+    // Derive the design with the region attached.
+    let mut b = DesignBuilder::from_design(&base);
     b.add_region(RegionConstraint::new("fig4", region_rect, chosen.clone()));
     let constrained_design = b.build().expect("valid design");
 

@@ -335,49 +335,9 @@ fn main() -> ExitCode {
     };
     let mut design = bundle.design;
     if let Some(gamma) = opts.target_density {
-        // Rebuild with the overridden density (Design is immutable).
-        let mut b =
-            complx_netlist::DesignBuilder::new(design.name(), design.core(), design.row_height());
-        if let Err(e) = b.set_target_density(gamma) {
-            eprintln!("complx: {e}");
-            return ExitCode::FAILURE;
-        }
-        for id in design.cell_ids() {
-            let c = design.cell(id);
-            let r = if c.is_movable() {
-                b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                    .map(|_| ())
-            } else {
-                b.add_fixed_cell(
-                    c.name(),
-                    c.width(),
-                    c.height(),
-                    c.kind(),
-                    design.fixed_positions().position(id),
-                )
-                .map(|_| ())
-            };
-            if let Err(e) = r {
-                eprintln!("complx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        for nid in design.net_ids() {
-            let n = design.net(nid);
-            if let Err(e) = b.add_net(
-                n.name(),
-                n.weight(),
-                design
-                    .net_pins(nid)
-                    .iter()
-                    .map(|p| (p.cell, p.dx, p.dy))
-                    .collect(),
-            ) {
-                eprintln!("complx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        design = match b.build() {
+        // Derive a design with the overridden density (Design is immutable).
+        let mut b = complx_netlist::DesignBuilder::from_design(&design);
+        design = match b.set_target_density(gamma).and_then(|()| b.build()) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("complx: {e}");

@@ -992,7 +992,7 @@ mod tests {
         use complx_netlist::{Rect, RegionConstraint};
         let mut cfg = GeneratorConfig::small("rg", 7);
         cfg.num_std_cells = 300;
-        // Build design, then rebuild with a region over the first 20 cells.
+        // Build design, then derive one with a region over the first 20 cells.
         let d0 = cfg.generate();
         let core = d0.core();
         let region_rect = Rect::new(
@@ -1002,42 +1002,9 @@ mod tests {
             core.ly + 0.4 * core.height(),
         );
         let cells: Vec<_> = d0.movable_cells().iter().copied().take(20).collect();
-        let d = {
-            // Reuse the timing crate trick: rebuild with a region.
-            use complx_netlist::DesignBuilder;
-            let mut b = DesignBuilder::new(d0.name(), d0.core(), d0.row_height());
-            b.set_target_density(d0.target_density()).unwrap();
-            for id in d0.cell_ids() {
-                let c = d0.cell(id);
-                if c.is_movable() {
-                    b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                        .unwrap();
-                } else {
-                    b.add_fixed_cell(
-                        c.name(),
-                        c.width(),
-                        c.height(),
-                        c.kind(),
-                        d0.fixed_positions().position(id),
-                    )
-                    .unwrap();
-                }
-            }
-            for nid in d0.net_ids() {
-                let n = d0.net(nid);
-                b.add_net(
-                    n.name(),
-                    n.weight(),
-                    d0.net_pins(nid)
-                        .iter()
-                        .map(|p| (p.cell, p.dx, p.dy))
-                        .collect(),
-                )
-                .unwrap();
-            }
-            b.add_region(RegionConstraint::new("r0", region_rect, cells.clone()));
-            b.build().unwrap()
-        };
+        let mut b = complx_netlist::DesignBuilder::from_design(&d0);
+        b.add_region(RegionConstraint::new("r0", region_rect, cells));
+        let d = b.build().unwrap();
         let mut fast = PlacerConfig::fast();
         fast.final_detail = false; // detail moves are not region-aware yet
         let out = ComplxPlacer::new(fast).place(&d).unwrap();

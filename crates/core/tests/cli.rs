@@ -293,6 +293,52 @@ fn invalid_design_is_a_structured_error_with_exit_code_3() {
 }
 
 #[test]
+fn target_density_overrides_gamma_and_is_range_checked() {
+    let dir = temp_dir("gamma");
+    let design = GeneratorConfig::small("smoke", 7).generate();
+    let aux = bookshelf::write_bundle(&design, &design.initial_placement(), &dir)
+        .expect("bundle written");
+    let report_path = dir.join("r.json");
+    let output = Command::new(complx_bin())
+        .arg(&aux)
+        .args(["--target-density", "0.9", "--max-iterations", "5", "-q"])
+        .arg("-o")
+        .arg(dir.join("solution"))
+        .arg("--report")
+        .arg(&report_path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(&report_path).expect("report written");
+    let doc = complx_obs::parse(&text).expect("report is valid JSON");
+    let gamma = doc
+        .get("design")
+        .and_then(|d| d.get("target_density"))
+        .and_then(complx_obs::JsonValue::as_f64);
+    assert_eq!(gamma, Some(0.9));
+
+    for bad in ["0", "1.5"] {
+        let output = Command::new(complx_bin())
+            .arg(&aux)
+            .args(["--target-density", bad, "-q"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "--target-density {bad} must be rejected"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("target density"), "{bad}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn nonpositive_max_seconds_is_a_usage_error() {
     let output = Command::new(complx_bin())
         .args(["in.aux", "--max-seconds", "-5"])

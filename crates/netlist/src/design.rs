@@ -175,8 +175,10 @@ impl Design {
     }
 }
 
-/// Incremental builder for [`Design`]. Validates names, dimensions and pin
-/// references at [`DesignBuilder::build`].
+/// Incremental builder for [`Design`]. Validates names, dimensions, net
+/// weights and pin offsets as they are added, and constraint references at
+/// [`DesignBuilder::build`]. [`DesignBuilder::from_design`] is the one way
+/// to derive a design from another.
 ///
 /// # Example
 ///
@@ -205,6 +207,8 @@ pub struct DesignBuilder {
     fixed_pos: Vec<Point>,
     regions: Vec<RegionConstraint>,
     alignments: Vec<AlignmentConstraint>,
+    /// Name → id, for the duplicate-name check only: never iterated, so its
+    /// order cannot reach an f64 accumulation.
     names: HashMap<String, CellId>,
 }
 
@@ -223,10 +227,35 @@ impl DesignBuilder {
             fixed_pos: Vec::new(),
             regions: Vec::new(),
             alignments: Vec::new(),
-            // lint:allow(nondet-taint): name->id parse-time lookup; its
-            // iteration order never reaches an f64 accumulation (hot-path
-            // iteration is over Vec-ordered ids)
             names: HashMap::new(),
+        }
+    }
+
+    /// Starts a builder that already holds everything `design` has: name,
+    /// core, row height, γ, cells, nets, pins, fixed positions, regions and
+    /// alignments. `from_design(&d).build()` reproduces `d` exactly (a
+    /// movable cell's stored start is the core centre, as [`Self::add_cell`]
+    /// sets it), and cell and net ids carry over. Adding a cell whose name
+    /// already exists is still rejected.
+    pub fn from_design(design: &Design) -> Self {
+        let fixed = &design.fixed_positions;
+        Self {
+            name: design.name.clone(),
+            core: design.core,
+            row_height: design.row_height,
+            target_density: design.target_density,
+            cells: design.cells.clone(),
+            nets: design.nets.clone(),
+            pins: design.pins.clone(),
+            fixed_pos: design.cell_ids().map(|id| fixed.position(id)).collect(),
+            regions: design.regions.clone(),
+            alignments: design.alignments.clone(),
+            names: design
+                .cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.name().to_string(), CellId(i as u32)))
+                .collect(),
         }
     }
 
@@ -325,8 +354,9 @@ impl DesignBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the net has fewer than two pins, a non-positive
-    /// weight, or references an unknown cell.
+    /// Returns an error if the net has fewer than two pins, a weight that is
+    /// not positive and finite, a non-finite pin offset, or references an
+    /// unknown cell.
     pub fn add_net(
         &mut self,
         name: impl Into<String>,
@@ -337,12 +367,13 @@ impl DesignBuilder {
         if pins.len() < 2 {
             return Err(DesignError::DegenerateNet(name));
         }
-        if weight <= 0.0 {
-            return Err(DesignError::InvalidWeight { net: name, weight });
-        }
-        for &(cell, _, _) in &pins {
+        check_weight(&name, weight)?;
+        for &(cell, dx, dy) in &pins {
             if cell.index() >= self.cells.len() {
                 return Err(DesignError::UnknownCell(cell.index()));
+            }
+            if !dx.is_finite() || !dy.is_finite() {
+                return Err(DesignError::InvalidPinOffset { net: name, dx, dy });
             }
         }
         let id = NetId(self.nets.len() as u32);
@@ -357,6 +388,22 @@ impl DesignBuilder {
             pin_end,
         });
         Ok(id)
+    }
+
+    /// Replaces the weight of an already added net.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an unknown net or a weight that is not positive
+    /// and finite (the check [`Self::add_net`] applies).
+    pub fn set_net_weight(&mut self, net: NetId, weight: f64) -> Result<(), DesignError> {
+        let n = self
+            .nets
+            .get_mut(net.index())
+            .ok_or(DesignError::UnknownNet(net.index()))?;
+        check_weight(&n.name, weight)?;
+        n.weight = weight;
+        Ok(())
     }
 
     /// Adds a hard region constraint (validated against the core at build).
@@ -452,6 +499,19 @@ impl DesignBuilder {
             alignments: self.alignments,
             cell_nets,
             movable,
+        })
+    }
+}
+
+/// The one net-weight rule: positive and finite. NaN or ∞ would poison
+/// every quadratic system assembled from the net.
+fn check_weight(net: &str, weight: f64) -> Result<(), DesignError> {
+    if weight > 0.0 && weight.is_finite() {
+        Ok(())
+    } else {
+        Err(DesignError::InvalidWeight {
+            net: net.to_string(),
+            weight,
         })
     }
 }
@@ -572,6 +632,136 @@ mod tests {
         let p = d.initial_placement();
         assert_eq!(p.position(a), Point::new(50.0, 50.0));
         assert_eq!(p.position(f), Point::new(5.0, 6.0));
+    }
+
+    /// An ISPD-2006-like design (γ < 1, movable macros) with one region
+    /// and one alignment attached.
+    fn constrained_ispd2006() -> Design {
+        use crate::generator::GeneratorConfig;
+        use crate::region::AlignmentAxis;
+        let base = GeneratorConfig::ispd2006_like("fd", 11, 400, 0.8).generate();
+        let c = base.core();
+        let std: Vec<CellId> = base
+            .movable_cells()
+            .iter()
+            .copied()
+            .filter(|&id| base.cell(id).kind() == CellKind::Movable)
+            .collect();
+        let mut b = DesignBuilder::from_design(&base);
+        b.add_region(RegionConstraint::new(
+            "r",
+            Rect::new(c.lx, c.ly, c.center().x, c.center().y),
+            std[..5].to_vec(),
+        ));
+        b.add_alignment(AlignmentConstraint::new(
+            "a",
+            AlignmentAxis::Vertical,
+            std[5..9].to_vec(),
+        ));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn from_design_round_trips_every_accessor() {
+        let d = constrained_ispd2006();
+        assert!(d.target_density() < 1.0);
+        assert!(d
+            .movable_cells()
+            .iter()
+            .any(|&id| d.cell(id).kind() == CellKind::MovableMacro));
+        let e = DesignBuilder::from_design(&d).build().unwrap();
+        assert_eq!(e.name(), d.name());
+        assert_eq!(e.core(), d.core());
+        assert_eq!(e.row_height().to_bits(), d.row_height().to_bits());
+        assert_eq!(e.target_density().to_bits(), d.target_density().to_bits());
+        assert_eq!(e.num_pins(), d.num_pins());
+        assert!(d.cell_ids().eq(e.cell_ids()));
+        for id in d.cell_ids() {
+            assert_eq!(e.cell(id), d.cell(id));
+            assert_eq!(e.cell_nets(id), d.cell_nets(id));
+        }
+        assert!(d.net_ids().eq(e.net_ids()));
+        for nid in d.net_ids() {
+            assert_eq!(e.net(nid), d.net(nid));
+            assert_eq!(e.net_pins(nid), d.net_pins(nid));
+        }
+        assert_eq!(e.movable_cells(), d.movable_cells());
+        assert_eq!(e.fixed_positions(), d.fixed_positions());
+        assert_eq!(e.regions(), d.regions());
+        assert_eq!(e.alignments(), d.alignments());
+        assert_eq!(e.initial_placement(), d.initial_placement());
+        // Debug prints every field, private ones included.
+        assert_eq!(format!("{e:?}"), format!("{d:?}"));
+    }
+
+    #[test]
+    fn from_design_writes_identical_bookshelf_bytes() {
+        let d = constrained_ispd2006();
+        let e = DesignBuilder::from_design(&d).build().unwrap();
+        let root = std::env::temp_dir().join(format!("complx_from_design_{}", std::process::id()));
+        let (dd, ed) = (root.join("d"), root.join("e"));
+        crate::bookshelf::write_bundle(&d, &d.initial_placement(), &dd).unwrap();
+        crate::bookshelf::write_bundle(&e, &e.initial_placement(), &ed).unwrap();
+        for ext in ["aux", "nodes", "nets", "wts", "pl", "scl"] {
+            let file = format!("{}.{ext}", d.name());
+            let a = std::fs::read(dd.join(&file)).unwrap();
+            let b = std::fs::read(ed.join(&file)).unwrap();
+            assert!(a == b, "{file} differs");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn from_design_still_rejects_duplicate_names() {
+        let d = constrained_ispd2006();
+        let taken = d.cell(d.movable_cells()[0]).name().to_string();
+        let mut b = DesignBuilder::from_design(&d);
+        assert_eq!(
+            b.add_cell(taken.clone(), 1.0, 1.0, CellKind::Movable),
+            Err(DesignError::DuplicateCell(taken))
+        );
+        assert!(b.add_cell("fresh", 1.0, 1.0, CellKind::Movable).is_ok());
+    }
+
+    #[test]
+    fn set_net_weight_applies_the_add_net_check() {
+        let d = constrained_ispd2006();
+        let n = d.net_ids().next().unwrap();
+        let mut b = DesignBuilder::from_design(&d);
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    b.set_net_weight(n, w),
+                    Err(DesignError::InvalidWeight { .. })
+                ),
+                "weight {w} accepted"
+            );
+        }
+        assert_eq!(
+            b.set_net_weight(NetId(d.num_nets() as u32), 1.0),
+            Err(DesignError::UnknownNet(d.num_nets()))
+        );
+        b.set_net_weight(n, 2.5).unwrap();
+        assert_eq!(b.build().unwrap().net(n).weight(), 2.5);
+    }
+
+    #[test]
+    fn non_finite_weights_and_pin_offsets_rejected() {
+        let mut b = DesignBuilder::new("t", core(), 1.0);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("b", 1.0, 1.0, CellKind::Movable).unwrap();
+        for w in [f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                b.add_net("n", w, vec![(a, 0.0, 0.0), (c, 0.0, 0.0)]),
+                Err(DesignError::InvalidWeight { .. })
+            ));
+        }
+        for (dx, dy) in [(f64::NAN, 0.0), (0.0, f64::NEG_INFINITY)] {
+            assert!(matches!(
+                b.add_net("n", 1.0, vec![(a, 0.0, 0.0), (c, dx, dy)]),
+                Err(DesignError::InvalidPinOffset { .. })
+            ));
+        }
     }
 
     #[test]

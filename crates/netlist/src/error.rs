@@ -21,15 +21,26 @@ pub enum DesignError {
     },
     /// A net has fewer than two pins.
     DegenerateNet(String),
-    /// A net weight is non-positive.
+    /// A net weight is not positive and finite.
     InvalidWeight {
         /// Net name.
         net: String,
         /// Offending weight.
         weight: f64,
     },
+    /// A pin offset is NaN or infinite.
+    InvalidPinOffset {
+        /// Net name.
+        net: String,
+        /// Offending horizontal offset.
+        dx: f64,
+        /// Offending vertical offset.
+        dy: f64,
+    },
     /// A pin or region references a cell index that does not exist.
     UnknownCell(usize),
+    /// A net id that does not exist.
+    UnknownNet(usize),
     /// Target density outside `(0, 1]`.
     InvalidDensity(f64),
     /// A constructor was called with the wrong cell kind.
@@ -58,9 +69,16 @@ impl fmt::Display for DesignError {
             }
             DesignError::DegenerateNet(n) => write!(f, "net `{n}` has fewer than two pins"),
             DesignError::InvalidWeight { net, weight } => {
-                write!(f, "net `{net}` has non-positive weight {weight}")
+                write!(
+                    f,
+                    "net `{net}` has non-positive or non-finite weight {weight}"
+                )
+            }
+            DesignError::InvalidPinOffset { net, dx, dy } => {
+                write!(f, "net `{net}` has a non-finite pin offset ({dx}, {dy})")
             }
             DesignError::UnknownCell(i) => write!(f, "reference to unknown cell index {i}"),
+            DesignError::UnknownNet(i) => write!(f, "reference to unknown net index {i}"),
             DesignError::InvalidDensity(d) => {
                 write!(f, "target density {d} outside (0, 1]")
             }

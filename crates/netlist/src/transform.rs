@@ -2,7 +2,8 @@
 //!
 //! These rebuild a [`Design`] under a geometric or weight transformation
 //! while keeping cell/net identifiers stable (cells and nets are re-added
-//! in id order, so `CellId`/`NetId` values carry over). They exist for the
+//! in id order, so `CellId`/`NetId` values carry over; a weight change
+//! starts from [`DesignBuilder::from_design`]). They exist for the
 //! metamorphic test suite — a placer must commute with translation and
 //! mirroring up to tolerance, and must be *exactly* invariant under
 //! uniform net-weight scaling by powers of two — but are general-purpose
@@ -15,13 +16,12 @@ use crate::placement::Placement;
 use crate::region::RegionConstraint;
 
 /// Rebuilds `design` with every cell, net, region and the core itself
-/// copied through `map_rect` / `map_point` / pin-offset / weight hooks.
+/// copied through the fixed-position / pin-offset / region geometric hooks.
 fn rebuild(
     design: &Design,
     core: Rect,
     map_fixed: impl Fn(Point) -> Point,
     map_pin: impl Fn(f64, f64) -> (f64, f64),
-    map_weight: impl Fn(f64) -> f64,
     map_region: impl Fn(Rect) -> Rect,
 ) -> Result<Design, DesignError> {
     let mut b = DesignBuilder::new(design.name(), core, design.row_height());
@@ -50,7 +50,7 @@ fn rebuild(
                 (p.cell, dx, dy)
             })
             .collect();
-        b.add_net(net.name(), map_weight(net.weight()), pins)?;
+        b.add_net(net.name(), net.weight(), pins)?;
     }
     for region in design.regions() {
         b.add_region(RegionConstraint::new(
@@ -80,7 +80,6 @@ pub fn translate(design: &Design, dx: f64, dy: f64) -> Result<Design, DesignErro
         shifted,
         |p| Point::new(p.x + dx, p.y + dy),
         |px, py| (px, py),
-        |w| w,
         |r| Rect::new(r.lx + dx, r.ly + dy, r.hx + dx, r.hy + dy),
     )
 }
@@ -109,7 +108,6 @@ pub fn mirror_x(design: &Design) -> Result<Design, DesignError> {
         core,
         |p| Point::new(s - p.x, p.y),
         |px, py| (-px, py),
-        |w| w,
         |r| Rect::new(s - r.hx, r.ly, s - r.lx, r.hy),
     )
 }
@@ -133,14 +131,11 @@ pub fn mirror_x_placement(design: &Design, placement: &Placement) -> Placement {
 /// Propagates [`DesignError`] if `factor` makes a weight non-positive or
 /// non-finite.
 pub fn scale_net_weights(design: &Design, factor: f64) -> Result<Design, DesignError> {
-    rebuild(
-        design,
-        design.core(),
-        |p| p,
-        |px, py| (px, py),
-        |w| w * factor,
-        |r| r,
-    )
+    let mut b = DesignBuilder::from_design(design);
+    for nid in design.net_ids() {
+        b.set_net_weight(nid, design.net(nid).weight() * factor)?;
+    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -198,5 +193,19 @@ mod tests {
         let a = hpwl::weighted_hpwl(&d, &p);
         let b = hpwl::weighted_hpwl(&s, &p);
         assert_eq!((2.0 * a).to_bits(), b.to_bits(), "doubling is exact");
+    }
+
+    #[test]
+    fn non_finite_weight_factor_is_an_error() {
+        let d = small();
+        for factor in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            assert!(
+                matches!(
+                    scale_net_weights(&d, factor),
+                    Err(DesignError::InvalidWeight { .. })
+                ),
+                "factor {factor} accepted"
+            );
+        }
     }
 }

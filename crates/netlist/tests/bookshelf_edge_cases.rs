@@ -252,6 +252,44 @@ fn nan_node_dimensions_are_structured_error() {
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Writes a two-cell bundle with net `n0` and the given `.nets` pin lines
+/// and `.wts` body, and returns `read_aux`'s error message.
+fn read_error(tag: &str, pins: &str, wts: &str) -> String {
+    let dir = tmp(tag);
+    write_custom(
+        &dir,
+        "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\na 2 1\nb 2 1\n",
+        &format!("UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n{pins}"),
+        "UCLA pl 1.0\na 0 0 : N\nb 5 0 : N\n",
+        SCL_ONE_ROW,
+    );
+    fs::write(
+        dir.join("x.aux"),
+        "RowBasedPlacement : x.nodes x.nets x.wts x.pl x.scl\n",
+    )
+    .expect("write aux");
+    fs::write(dir.join("x.wts"), format!("UCLA wts 1.0\n{wts}")).expect("write wts");
+    let err = bookshelf::read_aux(dir.join("x.aux")).expect_err("non-finite input rejected");
+    fs::remove_dir_all(&dir).expect("cleanup");
+    err.to_string()
+}
+
+#[test]
+fn nan_and_inf_net_weights_are_structured_errors() {
+    // `NaN` and `inf` parse as floats; the builder must reject them before
+    // they reach the solver (they used to surface as a CG breakdown).
+    for (tag, w) in [("nanwt", "NaN"), ("infwt", "inf")] {
+        let msg = read_error(tag, "a B\nb I\n", &format!("n0 {w}\n"));
+        assert!(msg.contains("`n0`") && msg.contains("weight"), "{msg}");
+    }
+}
+
+#[test]
+fn nan_pin_offset_is_structured_error() {
+    let msg = read_error("nanpin", "a B : NaN 0.5\nb I : 0 0\n", "");
+    assert!(msg.contains("`n0`") && msg.contains("pin offset"), "{msg}");
+}
+
 #[test]
 fn all_fixed_design_parses_with_zero_movable_cells() {
     let dir = tmp("allfixed");

@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use complx_netlist::{CellId, Design, NetId, Placement};
+use complx_netlist::{CellId, Design, DesignBuilder, NetId, Placement};
 
 /// Delay model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -315,54 +315,18 @@ pub fn net_criticality(design: &Design, report: &TimingReport) -> Vec<f64> {
         .collect()
 }
 
-/// Rebuilds `design` verbatim except that each net's weight is replaced by
-/// `weight_of(net)`. Cell ids are preserved (cells are re-added in id order).
-fn rebuild_with_weights(design: &Design, weight_of: impl Fn(NetId) -> f64) -> Design {
-    use complx_netlist::{DesignBuilder, DesignError, RegionConstraint};
-    let rebuild = || -> Result<Design, DesignError> {
-        let mut b = DesignBuilder::new(
-            design.name().to_string(),
-            design.core(),
-            design.row_height(),
-        );
-        b.set_target_density(design.target_density())?;
-        for id in design.cell_ids() {
-            let c = design.cell(id);
-            if c.is_movable() {
-                b.add_cell(c.name(), c.width(), c.height(), c.kind())?;
-            } else {
-                b.add_fixed_cell(
-                    c.name(),
-                    c.width(),
-                    c.height(),
-                    c.kind(),
-                    design.fixed_positions().position(id),
-                )?;
-            }
-        }
-        for nid in design.net_ids() {
-            b.add_net(
-                design.net(nid).name(),
-                weight_of(nid),
-                design
-                    .net_pins(nid)
-                    .iter()
-                    .map(|p| (p.cell, p.dx, p.dy))
-                    .collect(),
-            )?;
-        }
-        for r in design.regions() {
-            b.add_region(RegionConstraint::new(
-                r.name(),
-                r.rect(),
-                r.cells().to_vec(),
-            ));
-        }
-        b.build()
-    };
-    // lint:allow(no-expect): every name, dimension, and pin is copied verbatim
-    // from a design that already passed builder validation once.
-    rebuild().expect("rebuilding a validated design cannot fail")
+/// Rebuilds `design` with the listed nets' weights replaced. Everything
+/// else — cells, regions, alignments, γ — carries over through
+/// [`DesignBuilder::from_design`], and cell and net ids are preserved.
+fn with_weights(design: &Design, weights: impl IntoIterator<Item = (NetId, f64)>) -> Design {
+    let mut b = DesignBuilder::from_design(design);
+    let rebuilt = weights
+        .into_iter()
+        .try_for_each(|(nid, w)| b.set_net_weight(nid, w))
+        .and_then(|()| b.build());
+    // lint:allow(no-expect): callers check their factors up front, so only a
+    // weight × factor product that overflows to ∞ or underflows to 0 fails.
+    rebuilt.expect("a scaled net weight must stay positive and finite")
 }
 
 /// Rebuilds the design with per-net weight multipliers (indexed by net id).
@@ -371,39 +335,58 @@ fn rebuild_with_weights(design: &Design, weight_of: impl Fn(NetId) -> f64) -> De
 ///
 /// # Panics
 ///
-/// Panics if `factors` has the wrong length or contains a non-positive
-/// factor.
+/// Panics if `factors` has the wrong length or contains a factor that is
+/// not positive and finite, or if a scaled weight overflows to ∞ or
+/// underflows to 0.
 pub fn scale_net_weights(design: &Design, factors: &[f64]) -> Design {
     assert_eq!(factors.len(), design.num_nets(), "one factor per net");
     assert!(
-        factors.iter().all(|&f| f > 0.0),
-        "weight factors must be positive"
+        factors.iter().all(|&f| f > 0.0 && f.is_finite()),
+        "weight factors must be positive and finite"
     );
-    rebuild_with_weights(design, |nid| {
-        design.net(nid).weight() * factors[nid.index()]
-    })
+    with_weights(
+        design,
+        design
+            .net_ids()
+            .map(|nid| (nid, design.net(nid).weight() * factors[nid.index()])),
+    )
 }
 
 /// Scales the weights of the given nets by `factor` — the net-weighting
 /// mechanism of §S6 ("subsequent ComPLx runs are performed with
 /// progressively larger net weights on those paths"). Returns a new design
-/// sharing everything else.
+/// sharing everything else. A net listed twice is scaled once; ids that are
+/// not nets of `design` are ignored.
+///
+/// # Panics
+///
+/// Panics if `factor` is not positive and finite, or if a scaled weight
+/// overflows to ∞ or underflows to 0.
 pub fn reweight_nets(design: &Design, nets: &[NetId], factor: f64) -> Design {
-    let boost: std::collections::BTreeSet<usize> = nets.iter().map(|n| n.index()).collect();
-    rebuild_with_weights(design, |nid| {
-        let w = design.net(nid).weight();
-        if boost.contains(&nid.index()) {
-            w * factor
-        } else {
-            w
-        }
-    })
+    assert!(
+        factor > 0.0 && factor.is_finite(),
+        "weight factor must be positive and finite"
+    );
+    let boost: std::collections::BTreeSet<NetId> = nets
+        .iter()
+        .copied()
+        .filter(|n| n.index() < design.num_nets())
+        .collect();
+    with_weights(
+        design,
+        boost
+            .into_iter()
+            .map(|nid| (nid, design.net(nid).weight() * factor)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use complx_netlist::{generator::GeneratorConfig, CellKind, DesignBuilder, Point, Rect};
+    use complx_netlist::{
+        generator::GeneratorConfig, AlignmentAxis, AlignmentConstraint, CellKind, Point, Rect,
+        RegionConstraint,
+    };
 
     /// A 3-stage chain: pad → a → b → c.
     fn chain() -> (Design, Vec<CellId>) {
@@ -514,6 +497,43 @@ mod tests {
         let other = d.net_ids().nth(1).unwrap();
         assert_eq!(d2.net(other).weight(), d.net(other).weight());
         assert_eq!(d2.num_pins(), d.num_pins());
+    }
+
+    #[test]
+    fn reweighting_keeps_regions_and_alignments() {
+        let base = GeneratorConfig::small("rk", 6).generate();
+        let core = base.core();
+        let cells = base.movable_cells();
+        let mut b = DesignBuilder::from_design(&base);
+        b.add_region(RegionConstraint::new(
+            "r",
+            Rect::new(core.lx, core.ly, core.center().x, core.center().y),
+            cells[..4].to_vec(),
+        ));
+        b.add_alignment(AlignmentConstraint::new(
+            "a",
+            AlignmentAxis::Horizontal,
+            cells[4..8].to_vec(),
+        ));
+        let d = b.build().unwrap();
+        let first = d.net_ids().next().unwrap();
+        let factors = vec![2.0; d.num_nets()];
+        for derived in [
+            reweight_nets(&d, &[first], 3.0),
+            scale_net_weights(&d, &factors),
+        ] {
+            assert_eq!(derived.regions(), d.regions());
+            assert_eq!(derived.alignments(), d.alignments());
+            assert_eq!(derived.target_density(), d.target_density());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight factor must be positive and finite")]
+    fn reweight_rejects_non_finite_factor() {
+        let d = GeneratorConfig::small("rn", 3).generate();
+        let first = d.net_ids().next().unwrap();
+        let _ = reweight_nets(&d, &[first], f64::NAN);
     }
 
     #[test]

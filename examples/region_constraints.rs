@@ -11,7 +11,7 @@ use complx_place::{ComplxPlacer, PlacerConfig};
 use complx_spread::regions::regions_satisfied;
 
 fn main() {
-    // Build a design, then rebuild it with a clock-domain-style region
+    // Build a design, then derive one with a clock-domain-style region
     // holding 40 cells in the top-right quadrant.
     let base = GeneratorConfig::small("regions", 21).generate();
     let core = base.core();
@@ -29,35 +29,7 @@ fn main() {
         .take(40)
         .collect();
 
-    let mut b = DesignBuilder::new("regions", core, base.row_height());
-    for id in base.cell_ids() {
-        let c = base.cell(id);
-        if c.is_movable() {
-            b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                .expect("valid cell");
-        } else {
-            b.add_fixed_cell(
-                c.name(),
-                c.width(),
-                c.height(),
-                c.kind(),
-                base.fixed_positions().position(id),
-            )
-            .expect("valid cell");
-        }
-    }
-    for nid in base.net_ids() {
-        let n = base.net(nid);
-        b.add_net(
-            n.name(),
-            n.weight(),
-            base.net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect(),
-        )
-        .expect("valid net");
-    }
+    let mut b = DesignBuilder::from_design(&base);
     b.add_region(RegionConstraint::new(
         "clk_domain",
         region_rect,

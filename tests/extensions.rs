@@ -10,45 +10,6 @@ use complx_repro::place::{ComplxPlacer, PlacerConfig};
 use complx_repro::spread::regions::regions_satisfied;
 use complx_repro::timing::{reweight_nets, DelayModel, TimingGraph};
 
-fn clone_with_region(
-    base: &complx_repro::netlist::Design,
-    rect: Rect,
-    cells: Vec<complx_repro::netlist::CellId>,
-) -> complx_repro::netlist::Design {
-    let mut b = DesignBuilder::new(base.name(), base.core(), base.row_height());
-    b.set_target_density(base.target_density()).unwrap();
-    for id in base.cell_ids() {
-        let c = base.cell(id);
-        if c.is_movable() {
-            b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                .unwrap();
-        } else {
-            b.add_fixed_cell(
-                c.name(),
-                c.width(),
-                c.height(),
-                c.kind(),
-                base.fixed_positions().position(id),
-            )
-            .unwrap();
-        }
-    }
-    for nid in base.net_ids() {
-        let n = base.net(nid);
-        b.add_net(
-            n.name(),
-            n.weight(),
-            base.net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect(),
-        )
-        .unwrap();
-    }
-    b.add_region(RegionConstraint::new("r", rect, cells));
-    b.build().unwrap()
-}
-
 #[test]
 fn region_constraints_enforced_without_large_hpwl_cost() {
     // §S5: region constraints are enforced by the projection, and HPWL
@@ -68,7 +29,9 @@ fn region_constraints_enforced_without_large_hpwl_cost() {
         .filter(|&id| base.cell(id).kind() == CellKind::Movable)
         .take(50)
         .collect();
-    let design = clone_with_region(&base, rect, cells);
+    let mut b = DesignBuilder::from_design(&base);
+    b.add_region(RegionConstraint::new("r", rect, cells));
+    let design = b.build().unwrap();
 
     let cfg = PlacerConfig {
         final_detail: false,
@@ -189,35 +152,7 @@ fn alignment_constraints_enforced_through_the_placer() {
         .filter(|&id| base.cell(id).kind() == CellKind::Movable)
         .take(12)
         .collect();
-    let mut b = DesignBuilder::new(base.name(), base.core(), base.row_height());
-    for id in base.cell_ids() {
-        let c = base.cell(id);
-        if c.is_movable() {
-            b.add_cell(c.name(), c.width(), c.height(), c.kind())
-                .unwrap();
-        } else {
-            b.add_fixed_cell(
-                c.name(),
-                c.width(),
-                c.height(),
-                c.kind(),
-                base.fixed_positions().position(id),
-            )
-            .unwrap();
-        }
-    }
-    for nid in base.net_ids() {
-        let n = base.net(nid);
-        b.add_net(
-            n.name(),
-            n.weight(),
-            base.net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect(),
-        )
-        .unwrap();
-    }
+    let mut b = DesignBuilder::from_design(&base);
     b.add_alignment(AlignmentConstraint::new(
         "datapath",
         AlignmentAxis::Horizontal,

@@ -131,36 +131,10 @@ fn quadrupling_net_weights_is_an_exact_noop() {
     assert_eq!(out_d.legal, out_s.legal);
 }
 
-/// Rebuilds `d` with one extra 2-pin net whose pins both sit on the same
-/// cell at the same offset.
+/// Derives from `d` a design with one extra 2-pin net whose pins both sit
+/// on the same cell at the same offset.
 fn with_degenerate_net(d: &Design) -> Design {
-    let mut b = DesignBuilder::new(d.name(), d.core(), d.row_height());
-    b.set_target_density(d.target_density()).unwrap();
-    for id in d.cell_ids() {
-        let cell = d.cell(id);
-        if cell.kind().is_movable() {
-            b.add_cell(cell.name(), cell.width(), cell.height(), cell.kind())
-                .unwrap();
-        } else {
-            b.add_fixed_cell(
-                cell.name(),
-                cell.width(),
-                cell.height(),
-                cell.kind(),
-                d.fixed_positions().position(id),
-            )
-            .unwrap();
-        }
-    }
-    for nid in d.net_ids() {
-        let net = d.net(nid);
-        let pins: Vec<_> = d
-            .net_pins(nid)
-            .iter()
-            .map(|p| (p.cell, p.dx, p.dy))
-            .collect();
-        b.add_net(net.name(), net.weight(), pins).unwrap();
-    }
+    let mut b = DesignBuilder::from_design(d);
     let victim = d.movable_cells()[0];
     b.add_net(
         "degenerate",
@@ -199,38 +173,13 @@ fn reweighting_a_degenerate_net_is_an_exact_noop() {
     let d = tiny_design("mdw", 55);
     let light = with_degenerate_net(&d);
     let heavy = {
-        let mut b = DesignBuilder::new(light.name(), light.core(), light.row_height());
-        b.set_target_density(light.target_density()).unwrap();
-        for id in light.cell_ids() {
-            let cell = light.cell(id);
-            if cell.kind().is_movable() {
-                b.add_cell(cell.name(), cell.width(), cell.height(), cell.kind())
-                    .unwrap();
-            } else {
-                b.add_fixed_cell(
-                    cell.name(),
-                    cell.width(),
-                    cell.height(),
-                    cell.kind(),
-                    light.fixed_positions().position(id),
-                )
-                .unwrap();
-            }
-        }
-        for nid in light.net_ids() {
-            let net = light.net(nid);
-            let pins: Vec<_> = light
-                .net_pins(nid)
-                .iter()
-                .map(|p| (p.cell, p.dx, p.dy))
-                .collect();
-            let w = if net.name() == "degenerate" {
-                net.weight() * 7.0
-            } else {
-                net.weight()
-            };
-            b.add_net(net.name(), w, pins).unwrap();
-        }
+        let degenerate = light
+            .net_ids()
+            .find(|&n| light.net(n).name() == "degenerate")
+            .unwrap();
+        let mut b = DesignBuilder::from_design(&light);
+        b.set_net_weight(degenerate, light.net(degenerate).weight() * 7.0)
+            .unwrap();
         b.build().unwrap()
     };
     let out_light = ComplxPlacer::new(fast_cfg()).place(&light).unwrap();
