@@ -1,6 +1,8 @@
 //! Sequential-vs-parallel speedup of the hottest data-parallel kernels:
-//! the CSR matrix–vector product (`CsrMatrix::mul_vec`) and the full
-//! feasibility projection `P_C`, each at three instance sizes.
+//! a capped Conjugate Gradient solve on a netlist-shaped system (its
+//! sparse multiply is sequential; its dense-vector helpers split above
+//! `PAR_MIN_LEN`) and the full feasibility projection `P_C`, each at three
+//! instance sizes. Both sizes are the design's cell count.
 //!
 //! For every kernel/size pair the harness times the exact sequential path
 //! (`--threads 1`) and the parallel path, checks the outputs are
@@ -17,9 +19,10 @@ use std::time::Instant;
 use complx_bench::report::Table;
 use complx_bench::{artifact_dir, scale_arg};
 use complx_netlist::generator::GeneratorConfig;
+use complx_netlist::Design;
 use complx_obs::JsonValue;
 use complx_par as par;
-use complx_sparse::{CsrMatrix, TripletMatrix};
+use complx_sparse::{CgSolver, CsrMatrix, TripletMatrix};
 use complx_spread::FeasibilityProjection;
 
 fn threads_arg() -> usize {
@@ -34,16 +37,34 @@ fn threads_arg() -> usize {
     par::available().max(2)
 }
 
-/// A Laplacian-like banded SPD matrix with the sparsity of a placement
-/// system (a handful of off-diagonals per row).
-fn banded_spd(n: usize) -> CsrMatrix {
+/// A placement-shaped SPD matrix over `design`'s cells: each net stamps
+/// Bound2Bound-like springs from its first and last pin to every other pin
+/// (weight `1/(k−1)` for `k` pins), columns are cell ids, and every cell
+/// gets a unit anchor. The rows are as short and ragged, and the gathers as
+/// scattered, as in the assembled primal system.
+fn netlist_spd(design: &Design) -> CsrMatrix {
+    let n = design.num_cells();
     let mut t = TripletMatrix::new(n);
     for i in 0..n {
-        t.add_diagonal(i, 4.0 + (i % 5) as f64 * 0.25);
-        for off in [1usize, 7, 31] {
-            let j = i + off;
-            if j < n {
-                t.add_connection(i, j, 0.5 / off as f64);
+        t.add_diagonal(i, 1.0);
+    }
+    for net in design.net_ids() {
+        let mut cells: Vec<usize> = design
+            .net_pins(net)
+            .iter()
+            .map(|p| p.cell.index())
+            .collect();
+        cells.dedup();
+        let [first, .., last] = cells[..] else {
+            continue;
+        };
+        let w = 1.0 / (cells.len() - 1) as f64;
+        for (k, &c) in cells.iter().enumerate() {
+            if c != first {
+                t.add_connection(first, c, w);
+            }
+            if c != last && k != 0 {
+                t.add_connection(last, c, w);
             }
         }
     }
@@ -67,30 +88,54 @@ struct Sample {
     par_seconds: f64,
 }
 
-fn bench_mul_vec(n: usize, threads: usize) -> Sample {
-    let a = banded_spd(n);
-    let v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 13) as f64 * 0.5).collect();
-    let mut out_seq = vec![0.0; n];
-    let mut out_par = vec![0.0; n];
-    let reps = (2_000_000 / n.max(1)).clamp(3, 50);
+/// CG iterations per timed solve: enough to reach the steady loop, few
+/// enough that the largest case stays fast.
+const CG_ITERATIONS: usize = 40;
+
+fn bench_cg(cells: usize, threads: usize) -> Sample {
+    let design = GeneratorConfig::ispd2005_like("parbench", 31, cells).generate();
+    let a = netlist_spd(&design);
+    let n = a.dim();
+    let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
+    let cg = CgSolver::new()
+        .with_tolerance(0.0)
+        .with_max_iterations(CG_ITERATIONS);
+    let solve = || {
+        let mut x = vec![0.0; n];
+        cg.solve(&a, &b, &mut x, None);
+        x
+    };
+    let reps = (200_000_000 / (a.nnz() * CG_ITERATIONS).max(1)).clamp(3, 50);
     let seq = {
         let _g = par::with_threads(1);
-        best_of(reps, || a.mul_vec(&v, &mut out_seq))
+        best_of(reps, || {
+            std::hint::black_box(solve());
+        })
     };
     let par_t = {
         let _g = par::with_threads(threads);
-        best_of(reps, || a.mul_vec(&v, &mut out_par))
+        best_of(reps, || {
+            std::hint::black_box(solve());
+        })
+    };
+    let x_seq = {
+        let _g = par::with_threads(1);
+        solve()
+    };
+    let x_par = {
+        let _g = par::with_threads(threads);
+        solve()
     };
     for i in 0..n {
         assert_eq!(
-            out_seq[i].to_bits(),
-            out_par[i].to_bits(),
-            "mul_vec determinism violated at row {i}"
+            x_seq[i].to_bits(),
+            x_par[i].to_bits(),
+            "cg determinism violated at row {i}"
         );
     }
     Sample {
-        kernel: "mul_vec",
-        size: n,
+        kernel: "cg",
+        size: cells,
         seq_seconds: seq,
         par_seconds: par_t,
     }
@@ -138,10 +183,10 @@ fn main() {
     );
 
     let mut samples = Vec::new();
-    for n in [20_000, 80_000, 320_000] {
-        let n = (n / scale).max(64);
-        eprintln!("[par_kernels] mul_vec n = {n}");
-        samples.push(bench_mul_vec(n, threads));
+    for cells in [20_000, 80_000, 320_000] {
+        let cells = (cells / scale).max(200);
+        eprintln!("[par_kernels] cg cells = {cells}");
+        samples.push(bench_cg(cells, threads));
     }
     for cells in [2_000, 8_000, 24_000] {
         let cells = (cells / scale).max(200);

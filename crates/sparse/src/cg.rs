@@ -11,7 +11,7 @@ pub enum CgBreakdown {
     /// round-off destroyed positivity). The last accepted iterate is kept.
     IndefiniteDirection,
     /// The residual, right-hand side, or an intermediate product became
-    /// non-finite. The solution is rolled back to the last finite iterate.
+    /// non-finite. The solution is left at the last finite iterate.
     NonFinite,
 }
 
@@ -169,9 +169,9 @@ impl CgSolver {
         // Jacobi preconditioner with a guard: a structurally-zero or
         // negative diagonal (singular/indefinite row) falls back to the
         // identity on that row instead of dividing by zero.
-        let diag = a.diagonal();
         let mut clamped = 0usize;
-        let inv_diag: Vec<f64> = diag
+        let inv_diag: Vec<f64> = a
+            .diagonal_ref()
             .iter()
             .map(|&d| {
                 if d > f64::MIN_POSITIVE && d.is_finite() {
@@ -240,8 +240,6 @@ impl CgSolver {
         let mut p = z.clone();
         let mut rz = dot(&r, &z);
         let mut ap = vec![0.0; n];
-        // Snapshot for rollback when an iteration turns non-finite.
-        let mut x_prev = x.to_vec();
 
         let mut iterations = 0;
         let mut breakdown = None;
@@ -264,25 +262,24 @@ impl CgSolver {
                 breakdown = Some(CgBreakdown::IndefiniteDirection);
                 break;
             }
-            x_prev.copy_from_slice(x);
             let alpha = rz / pap;
-            axpy(alpha, &p, x);
             axpy(-alpha, &ap, &mut r);
             for i in 0..n {
                 z[i] = r[i] * inv_diag[i];
             }
             let rz_new = dot(&r, &z);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            xpby(&z, beta, &mut p);
             iterations += 1;
             let res_new = norm2(&r) / b_norm;
             if !res_new.is_finite() || !rz_new.is_finite() {
-                // Roll back to the last finite iterate and stop.
-                x.copy_from_slice(&x_prev);
+                // x is only stepped after this check, so it still holds
+                // the last finite iterate.
                 breakdown = Some(CgBreakdown::NonFinite);
                 break;
             }
+            axpy(alpha, &p, x);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            xpby(&z, beta, &mut p);
             res = res_new;
         }
 
@@ -481,6 +478,33 @@ mod tests {
         assert_eq!(s1, s2);
         for (a1, a2) in x1.iter().zip(&x2) {
             assert_eq!(a1.to_bits(), a2.to_bits());
+        }
+    }
+
+    #[test]
+    fn nonfinite_residual_mid_solve_keeps_the_previous_iterate() {
+        // A three-variable chain with one stiff spring. From x = 0 and
+        // b = (1, 1, 1) the residual 2-norms of the first three iterates
+        // are 1.73, 1.48 and 33.6, so with b scaled near the overflow
+        // threshold `norm2(r)` overflows first at iteration 2.
+        let mut t = TripletMatrix::new(3);
+        t.add_connection(0, 1, 1000.0);
+        t.add_connection(1, 2, 0.1);
+        t.add_diagonal(2, 1.0);
+        let a = t.to_csr();
+        let b = [1e153; 3];
+        let mut one_step = vec![0.0; 3];
+        let capped = CgSolver::new()
+            .with_max_iterations(1)
+            .solve(&a, &b, &mut one_step, None);
+        assert_eq!((capped.iterations, capped.breakdown), (1, None));
+        let mut x = vec![0.0; 3];
+        let stats = CgSolver::new().solve(&a, &b, &mut x, None);
+        assert_eq!(stats.breakdown, Some(CgBreakdown::NonFinite));
+        assert_eq!(stats.iterations, 2);
+        assert!(!stats.converged);
+        for (got, want) in x.iter().zip(&one_step) {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

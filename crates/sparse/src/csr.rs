@@ -1,13 +1,17 @@
-//! Compressed sparse row storage.
+//! Sliced ELLPACK (SELL-8-σ) storage for the sparse placement systems.
+
+use std::cmp::Reverse;
 
 use crate::TripletMatrix;
 
-/// Matrices with fewer stored entries than this multiply sequentially —
-/// pool dispatch costs more than the multiply below it. The gate depends
-/// only on the matrix, never the thread count, and the parallel kernel
-/// writes each output row exactly once, so `mul_vec` results are
-/// bit-identical for every thread count.
-const PAR_MIN_NNZ: usize = 8192;
+/// Rows per slice: the multiply steps this many rows in lockstep, one
+/// independent add chain each.
+const SLICE: usize = 8;
+
+/// Sorting window σ in rows: rows are ordered by length within each
+/// window, so a slice pads its rows to nearly equal lengths while every
+/// row stays within σ of its position. A multiple of [`SLICE`].
+const SIGMA: usize = 256;
 
 /// Raw triplet counts from which [`CsrWorkspace::assemble`] sorts and
 /// merges rows on the `complx-par` pool. Rows are merged independently and
@@ -16,18 +20,47 @@ const PAR_MIN_NNZ: usize = 8192;
 /// only keeps pool dispatch off small matrices.
 pub const PAR_MIN_MERGE_NNZ: usize = 8192;
 
-/// A sparse matrix in compressed sparse row (CSR) format.
+/// A square sparse matrix in SELL-8-σ storage (Kreutzer et al., SIAM J.
+/// Sci. Comput. 2014) with σ = 256.
 ///
-/// Rows are stored contiguously; within each row, column indices are strictly
-/// increasing. The matrix is not required to be symmetric, but the placement
-/// systems built on top of it always are, and [`CsrMatrix::is_symmetric`]
-/// lets tests assert it.
+/// Each row's entries have strictly increasing columns. Rows are stably
+/// sorted by descending length within each window of σ rows, then taken
+/// eight at a time into *slices*. A slice stores its rows column-major,
+/// padded to its longest row: step `k` of a slice holds the k-th entry of
+/// each of its eight rows. [`CsrMatrix::mul_vec`] walks the steps once,
+/// keeping eight independent sums, which hides the latency of the
+/// gathers that a row-at-a-time loop serializes.
+///
+/// **Summation contract.** Every row is summed from `0.0`, adding its
+/// products `a_rk · v_k` in increasing column order, exactly as a
+/// compressed-sparse-row loop does; padding is skipped, never added as
+/// `0.0`. Outputs are therefore bit-identical to the CSR row loop.
+///
+/// The name is kept from the compressed-sparse-row layout this replaced;
+/// the accessors ([`Self::get`], [`Self::row`], [`Self::diagonal`]) read
+/// rows in CSR order. The matrix is not required to be symmetric, but the
+/// placement systems built on top of it always are, and
+/// [`CsrMatrix::is_symmetric`] lets tests assert it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
+    nnz: usize,
+    /// Slot `8s + lane` holds row `perm[8s + lane]`; `perm` has exactly
+    /// `n` entries. A partial last slice's missing lanes exist only as
+    /// zero-length lanes in `len`, `cols` and `vals`.
+    perm: Vec<u32>,
+    /// The inverse of `perm`: row `r` sits in slot `slot[r]`.
+    slot: Vec<u32>,
+    /// Stored entries of each slice's rows (`0` for padding lanes).
+    len: Vec<[u32; SLICE]>,
+    /// Slice `s` holds steps `slice_ptr[s]..slice_ptr[s + 1]`.
+    slice_ptr: Vec<usize>,
+    /// Per step, the column of each lane's entry (`0` past a row's end).
+    cols: Vec<[u32; SLICE]>,
+    /// Per step, the value of each lane's entry (`0.0` past a row's end).
+    vals: Vec<[f64; SLICE]>,
+    /// The diagonal, recorded at assembly (`0.0` where not stored).
+    diag: Vec<f64>,
 }
 
 impl Default for CsrMatrix {
@@ -35,9 +68,14 @@ impl Default for CsrMatrix {
     fn default() -> Self {
         Self {
             n: 0,
-            row_ptr: vec![0],
-            col_idx: Vec::new(),
-            values: Vec::new(),
+            nnz: 0,
+            perm: Vec::new(),
+            slot: Vec::new(),
+            len: Vec::new(),
+            slice_ptr: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            diag: Vec::new(),
         }
     }
 }
@@ -52,10 +90,10 @@ pub(crate) struct Part<'a> {
 
 /// Reusable scratch for building [`CsrMatrix`] values from triplets.
 ///
-/// Assembly is count → prefix → scatter → per-row sort and merge. Every
-/// buffer is cleared and refilled on each call, so one workspace serves
-/// matrices of any size, and repeated builds of similar systems allocate
-/// nothing once the buffers have grown.
+/// Assembly is count → prefix → scatter → per-row sort and merge → slice
+/// fill. Every buffer is cleared and refilled on each call, so one
+/// workspace serves matrices of any size, and repeated builds of similar
+/// systems allocate nothing once the buffers have grown.
 ///
 /// # Summation order
 ///
@@ -131,20 +169,61 @@ impl CsrWorkspace {
         self.kept.resize(n, 0);
         self.merge_rows();
 
-        // Compact the kept entries of every row into `out`.
+        self.fill_slices(out);
+    }
+
+    /// Lays the merged rows out as `out`'s slices: each σ-row window's
+    /// rows stably sorted by descending kept length, eight rows per slice,
+    /// column-major and padded to the slice's longest row.
+    fn fill_slices(&self, out: &mut CsrMatrix) {
+        let Self {
+            start, raw, kept, ..
+        } = self;
+        let n = kept.len();
         out.n = n;
-        out.row_ptr.clear();
-        out.row_ptr.reserve(n + 1);
-        out.row_ptr.push(0);
-        out.col_idx.clear();
-        out.values.clear();
-        for r in 0..n {
-            let lo = self.start[r];
-            for &(c, v) in &self.raw[lo..lo + self.kept[r]] {
-                out.col_idx.push(c);
-                out.values.push(v);
+        out.nnz = kept.iter().sum();
+        out.perm.clear();
+        out.perm.extend(0..n as u32);
+        for window in out.perm.chunks_mut(SIGMA) {
+            window.sort_by_key(|&r| Reverse(kept[r as usize]));
+        }
+        out.slot.clear();
+        out.slot.resize(n, 0);
+        for (q, &r) in out.perm.iter().enumerate() {
+            out.slot[r as usize] = q as u32;
+        }
+        out.diag.clear();
+        out.diag.resize(n, 0.0);
+        out.len.clear();
+        out.slice_ptr.clear();
+        out.slice_ptr.push(0);
+        out.cols.clear();
+        out.vals.clear();
+        for rows in out.perm.chunks(SLICE) {
+            let mut len = [0u32; SLICE];
+            for (l, &r) in len.iter_mut().zip(rows) {
+                *l = kept[r as usize] as u32;
             }
-            out.row_ptr.push(out.col_idx.len());
+            // Descending order puts the longest row in lane 0.
+            let width = len[0] as usize;
+            for k in 0..width {
+                let mut c = [0u32; SLICE];
+                let mut a = [0.0f64; SLICE];
+                for (lane, &r) in rows.iter().enumerate() {
+                    if k < len[lane] as usize {
+                        let (col, v) = raw[start[r as usize] + k];
+                        c[lane] = col;
+                        a[lane] = v;
+                        if col == r {
+                            out.diag[r as usize] = v;
+                        }
+                    }
+                }
+                out.cols.push(c);
+                out.vals.push(a);
+            }
+            out.len.push(len);
+            out.slice_ptr.push(out.cols.len());
         }
     }
 
@@ -232,7 +311,7 @@ fn merge_row_range(start: &[usize], raw: &mut [(u32, f64)], kept: &mut [usize], 
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from parallel triplet arrays, summing duplicates.
+    /// Builds the matrix from parallel triplet arrays, summing duplicates.
     ///
     /// # Panics
     ///
@@ -251,9 +330,17 @@ impl CsrMatrix {
         self.n
     }
 
-    /// Number of stored (structurally non-zero) entries.
+    /// Number of stored (structurally non-zero) entries; padding is not
+    /// counted.
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.nnz
+    }
+
+    /// Row `r`'s lane and its steps, `(lane, first step, entry count)`.
+    fn locate(&self, r: usize) -> (usize, usize, usize) {
+        let q = self.slot[r] as usize;
+        let (s, lane) = (q / SLICE, q % SLICE);
+        (lane, self.slice_ptr[s], self.len[s][lane] as usize)
     }
 
     /// Returns the entry at `(row, col)`, or `0.0` if not stored.
@@ -263,20 +350,21 @@ impl CsrMatrix {
     /// Panics if `row` or `col` is out of bounds.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.n && col < self.n);
-        let lo = self.row_ptr[row];
-        let hi = self.row_ptr[row + 1];
-        match self.col_idx[lo..hi].binary_search(&(col as u32)) {
-            Ok(k) => self.values[lo + k],
+        let (lane, lo, len) = self.locate(row);
+        match self.cols[lo..lo + len].binary_search_by_key(&(col as u32), |c| c[lane]) {
+            Ok(k) => self.vals[lo + k][lane],
             Err(_) => 0.0,
         }
     }
 
     /// Computes `out = A·v`.
     ///
-    /// Large matrices are multiplied on the `complx-par` pool, with rows
-    /// partitioned into contiguous, nnz-balanced ranges. Each output row is
-    /// written exactly once, so results are bit-identical across thread
-    /// counts.
+    /// Each row is summed from `0.0` in increasing column order (see the
+    /// type's summation contract), so results match a CSR row loop bit
+    /// for bit. The multiply is sequential: split over σ-row windows at
+    /// two threads it measured about 1.0× on a two-vCPU host (DESIGN §11),
+    /// and a fork-join in every CG iteration only queues behind the other
+    /// solve under `complx-serve`.
     ///
     /// # Panics
     ///
@@ -296,60 +384,45 @@ impl CsrMatrix {
             out.len(),
             self.n
         );
-        debug_assert_eq!(self.row_ptr.len(), self.n + 1, "corrupt row_ptr");
-        let t = complx_par::threads().min(self.n.max(1));
-        if self.nnz() < PAR_MIN_NNZ || t <= 1 {
-            self.mul_vec_rows(v, out, 0);
-            return;
-        }
-        // The boundaries depend on the thread count, which is fine here:
-        // per-row outputs are independent, so any partition produces
-        // identical bits.
-        let bounds = balanced_row_bounds(&self.row_ptr, t);
-        let car = complx_obs::carrier();
-        complx_par::scope(|s| {
-            let mut rest = out;
-            for w in bounds.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let (part, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                let car = &car;
-                s.spawn(move || {
-                    let _attached = car.attach();
-                    let _sp = complx_obs::span("chunks");
-                    self.mul_vec_rows(v, part, lo);
-                });
+        for (s, len) in self.len.iter().enumerate() {
+            let (lo, hi) = (self.slice_ptr[s], self.slice_ptr[s + 1]);
+            let mut acc = [0.0f64; SLICE];
+            for (k, (c, a)) in self.cols[lo..hi].iter().zip(&self.vals[lo..hi]).enumerate() {
+                let k = k as u32;
+                for lane in 0..SLICE {
+                    let sum = acc[lane] + a[lane] * v[c[lane] as usize];
+                    // Select, never add a padding zero: the row's sum is
+                    // exactly its own products' sum.
+                    acc[lane] = if k < len[lane] { sum } else { acc[lane] };
+                }
             }
-        });
-    }
-
-    /// The sequential multiply kernel for rows `row0 .. row0 + out.len()`.
-    fn mul_vec_rows(&self, v: &[f64], out: &mut [f64], row0: usize) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let r = row0 + i;
-            let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * v[self.col_idx[k] as usize];
+            let rows = &self.perm[s * SLICE..((s + 1) * SLICE).min(self.n)];
+            for (&r, &sum) in rows.iter().zip(&acc) {
+                out[r as usize] = sum;
             }
-            *slot = acc;
         }
     }
 
     /// Returns the diagonal as a dense vector (zeros for missing entries).
     pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.n).map(|i| self.get(i, i)).collect()
+        self.diag.clone()
+    }
+
+    /// The diagonal recorded at assembly, without a copy.
+    pub(crate) fn diagonal_ref(&self) -> &[f64] {
+        &self.diag
     }
 
     /// Computes the quadratic form `vᵀAv`.
     pub fn quadratic_form(&self, v: &[f64]) -> f64 {
         assert_eq!(v.len(), self.n);
         let mut acc = 0.0;
-        for r in 0..self.n {
+        for (r, &vr) in v.iter().enumerate() {
             let mut row_acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                row_acc += self.values[k] * v[self.col_idx[k] as usize];
+            for (c, a) in self.row(r) {
+                row_acc += a * v[c];
             }
-            acc += v[r] * row_acc;
+            acc += vr * row_acc;
         }
         acc
     }
@@ -357,9 +430,8 @@ impl CsrMatrix {
     /// Checks symmetry up to absolute tolerance `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         for r in 0..self.n {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k] as usize;
-                if (self.values[k] - self.get(c, r)).abs() > tol {
+            for (c, a) in self.row(r) {
+                if (a - self.get(c, r)).abs() > tol {
                     return false;
                 }
             }
@@ -367,14 +439,14 @@ impl CsrMatrix {
         true
     }
 
-    /// Iterates over the stored entries of row `r` as `(col, value)` pairs.
+    /// Iterates over the stored entries of row `r` as `(col, value)` pairs,
+    /// in increasing column order.
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
+        let (lane, lo, len) = self.locate(r);
+        self.cols[lo..lo + len]
             .iter()
-            .map(|&c| c as usize)
-            .zip(self.values[lo..hi].iter().copied())
+            .zip(&self.vals[lo..lo + len])
+            .map(move |(c, a)| (c[lane] as usize, a[lane]))
     }
 }
 
@@ -459,42 +531,28 @@ mod tests {
         a.mul_vec(&[1.0, 2.0, 3.0], &mut out);
     }
 
-    /// Builds a matrix big enough to clear `PAR_MIN_NNZ` (a 1-D Poisson
-    /// chain has ~3n entries).
-    fn big_poisson(n: usize) -> CsrMatrix {
-        let mut t = TripletMatrix::new(n);
-        for i in 0..n {
-            t.add(i, i, 2.0 + (i % 7) as f64 * 0.125);
-            if i + 1 < n {
-                t.add(i, i + 1, -1.0);
-                t.add(i + 1, i, -1.0);
-            }
-        }
-        t.to_csr()
-    }
-
     #[test]
-    fn parallel_mul_vec_bit_identical_across_thread_counts() {
-        let n = 4096; // ~12k nnz: engages the parallel path
-        let a = big_poisson(n);
-        assert!(a.nnz() >= super::PAR_MIN_NNZ);
-        let v: Vec<f64> = (0..n)
-            .map(|i| ((i * 31 % 101) as f64) * 0.013 - 0.5)
-            .collect();
-        let reference = {
-            let _g = complx_par::with_threads(1);
-            let mut out = vec![0.0; n];
-            a.mul_vec(&v, &mut out);
-            out
-        };
-        for t in [2, 8] {
-            let _g = complx_par::with_threads(t);
-            let mut out = vec![0.0; n];
-            a.mul_vec(&v, &mut out);
-            for (got, want) in out.iter().zip(&reference) {
-                assert_eq!(got.to_bits(), want.to_bits());
+    fn slices_sort_rows_by_length_within_windows() {
+        // Row r has r % 5 off-diagonal entries, so every window reorders.
+        let n = SIGMA + 20;
+        let mut t = TripletMatrix::new(n);
+        for r in 0..n {
+            t.add(r, r, 1.0);
+            for k in 1..=r % 5 {
+                t.add(r, (r + k) % n, -0.25);
             }
         }
+        let a = t.to_csr();
+        for window in a.perm.chunks(SIGMA) {
+            let lens: Vec<usize> = window.iter().map(|&r| a.row(r as usize).count()).collect();
+            assert!(lens.windows(2).all(|w| w[0] >= w[1]), "{lens:?}");
+        }
+        for (q, &r) in a.perm.iter().enumerate() {
+            assert_eq!(a.slot[r as usize] as usize, q);
+            assert!((r as usize) / SIGMA == q / SIGMA, "row {r} left its window");
+        }
+        let stored: usize = (0..n).map(|r| a.row(r).count()).sum();
+        assert_eq!(stored, a.nnz());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! * [`TripletMatrix`] — a coordinate-format accumulator that nets and anchor
 //!   pseudonets are stamped into,
-//! * [`CsrMatrix`] — compressed sparse row storage with fast
-//!   matrix–vector products,
+//! * [`CsrMatrix`] — sliced ELLPACK (SELL-8-σ) storage whose
+//!   matrix–vector product sums eight rows in lockstep, bit-identical to a
+//!   row-at-a-time loop,
 //! * [`CsrWorkspace`] — reusable buffers that build a [`CsrMatrix`] from
 //!   several triplet buffers in one pass,
 //! * [`CgSolver`] — a Jacobi-preconditioned Conjugate Gradient solver with

@@ -123,7 +123,7 @@ impl TripletMatrix {
         }
     }
 
-    /// Converts to CSR, summing duplicate coordinates.
+    /// Converts to a [`CsrMatrix`], summing duplicate coordinates.
     pub fn to_csr(&self) -> CsrMatrix {
         CsrMatrix::from_triplets(self.n, &self.rows, &self.cols, &self.vals)
     }

@@ -116,18 +116,23 @@ fn assert_workspace_matches_concatenation(n: usize, parts: &[Part]) {
     }
 }
 
-#[test]
-fn csr_workspace_crosses_parallel_merge_gate() {
-    // Deterministic SplitMix64 triplets: 40 rows of ~300 raw entries over
-    // three parts, so the merge runs on the pool at 2 and 8 threads.
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
+/// A deterministic SplitMix64 stream.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    };
+    }
+}
+
+#[test]
+fn csr_workspace_crosses_parallel_merge_gate() {
+    // Deterministic triplets: 40 rows of ~300 raw entries over three
+    // parts, so the merge runs on the pool at 2 and 8 threads.
+    let mut next = splitmix(0x5eed);
     let n = 41;
     let mut parts: Vec<Part> = (0..3)
         .map(|_| {
@@ -148,6 +153,104 @@ fn csr_workspace_crosses_parallel_merge_gate() {
     let total: usize = parts.iter().map(Vec::len).sum();
     assert!(total >= PAR_MIN_MERGE_NNZ);
     assert_workspace_matches_concatenation(n, &parts);
+}
+
+/// The sliced layout's sorting window σ, in rows.
+const SIGMA: usize = 256;
+
+/// The compressed-sparse-row multiply the sliced layout replaced, kept as
+/// the reference: each row summed from `0.0` over its entries in
+/// increasing column order.
+fn csr_row_loop(rows: &[Vec<(u32, f64)>], v: &[f64]) -> Vec<f64> {
+    rows.iter()
+        .map(|row| {
+            let mut acc = 0.0;
+            for &(c, a) in row {
+                acc += a * v[c as usize];
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Builds the matrix of `triplets` and checks it against the reference
+/// assembly: `row`, `get` (stored and missing entries) and `diagonal`
+/// round-trip bit for bit, and `mul_vec` equals the CSR row loop bit for
+/// bit at 1, 2 and 8 threads.
+fn assert_sliced_matches_csr(n: usize, triplets: &[(usize, usize, f64)], v: &[f64]) {
+    let want = reference_rows(n, triplets);
+    let mut t = TripletMatrix::new(n);
+    for &(r, c, x) in triplets {
+        t.add(r, c, x);
+    }
+    let a = t.to_csr();
+    assert_rows_bit_equal(&a, &want, "sliced rows");
+    let diag = a.diagonal();
+    for (r, row) in want.iter().enumerate() {
+        for &(c, x) in row {
+            assert_eq!(a.get(r, c as usize).to_bits(), x.to_bits(), "get({r}, {c})");
+        }
+        if let Some(c) = (0..n as u32).find(|c| row.binary_search_by_key(c, |e| e.0).is_err()) {
+            assert_eq!(
+                a.get(r, c as usize).to_bits(),
+                0.0f64.to_bits(),
+                "get({r}, {c})"
+            );
+        }
+        let d = row.iter().find(|e| e.0 as usize == r).map_or(0.0, |e| e.1);
+        assert_eq!(diag[r].to_bits(), d.to_bits(), "diagonal({r})");
+    }
+    let expected = csr_row_loop(&want, v);
+    for threads in [1, 2, 8] {
+        let _g = complx_par::with_threads(threads);
+        let mut out = vec![f64::NAN; n];
+        a.mul_vec(v, &mut out);
+        for (r, (got, exp)) in out.iter().zip(&expected).enumerate() {
+            assert_eq!(got.to_bits(), exp.to_bits(), "row {r} at {threads} threads");
+        }
+    }
+}
+
+/// Strategy: an `n`-square matrix of ragged rows as triplets, and a
+/// vector to multiply. `n` runs up to 2σ + 40, so most sizes are not
+/// multiples of 8 and many span several σ-row windows. Rows hold 0 to 11
+/// random entries (about one in twelve is empty); when `n > σ + 8`, row
+/// `n / 2` also gets σ + 8 entries, longer than a window. Row 0 holds only
+/// negative entries in the columns where `v` is exactly `0.0`, so every
+/// one of its products is `−0.0`. In half the cases `v[0]` is infinite:
+/// column 0 is where padding lanes point.
+fn ragged_system() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>, Vec<f64>)> {
+    (1..=2 * SIGMA + 40)
+        .prop_flat_map(|n| {
+            let value = (0u8..4, 1i32..=16, 0.001f64..10.0).prop_map(|(kind, k, x)| match kind {
+                0 => f64::from(k) * 0.25,
+                1 => -f64::from(k) * 0.25,
+                2 => x,
+                _ => -x,
+            });
+            let rows =
+                proptest::collection::vec(proptest::collection::vec((0..n, value), 0..12), n);
+            let v = proptest::collection::vec(-4.0f64..4.0, n);
+            (Just(n), rows, v, 0u8..2)
+        })
+        .prop_map(|(n, rows, mut v, infinite)| {
+            let zero_cols: Vec<usize> = (3..n).step_by(7).collect();
+            let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+            for (r, row) in rows.into_iter().enumerate().skip(1) {
+                triplets.extend(row.into_iter().map(|(c, x)| (r, c, x)));
+            }
+            for &c in &zero_cols {
+                v[c] = 0.0;
+                triplets.push((0, c, -1.5));
+            }
+            if infinite == 1 {
+                v[0] = f64::INFINITY;
+            }
+            if n > SIGMA + 8 {
+                triplets.extend((0..SIGMA + 8).map(|c| (n / 2, c, 0.5 + c as f64 / 64.0)));
+            }
+            (n, triplets, v)
+        })
 }
 
 /// Strategy: a random SPD matrix built as a Laplacian over random edges plus
@@ -257,6 +360,11 @@ proptest! {
         for r in 0..n {
             prop_assert!(a.row(r).all(|(c, v)| c != n - 1 && v != 0.0));
         }
+    }
+
+    #[test]
+    fn sliced_multiply_matches_the_csr_row_loop((n, triplets, v) in ragged_system()) {
+        assert_sliced_matches_csr(n, &triplets, &v);
     }
 
     #[test]

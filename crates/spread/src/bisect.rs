@@ -120,28 +120,42 @@ fn capacity_median_cut(caps: &CapacityMap, rect: Rect, cut_x: bool) -> Option<(R
         caps.core().ly
     };
 
-    // Candidate bin boundaries strictly inside (lo, hi).
+    // Candidate bin boundaries strictly inside (lo, hi). The coordinate
+    // never decreases in `b`, so the candidates are one index range.
+    let coord = |b: i64| origin + b as f64 * bin;
     let first = ((lo - origin) / bin).floor() as i64 + 1;
     let last = ((hi - origin) / bin).ceil() as i64 - 1;
+    let first = lower_bound(first, last + 1, |b| coord(b) <= lo + 1e-9);
+    let end = lower_bound(first, last + 1, |b| coord(b) < hi - 1e-9);
     let total = caps.free_in_rect(&rect);
-    let mut best: Option<(f64, f64)> = None; // (imbalance, cut coordinate)
-    for b in first..=last {
-        let c = origin + b as f64 * bin;
-        if c <= lo + 1e-9 || c >= hi - 1e-9 {
-            continue;
-        }
+    let excess = |b: i64| {
+        let c = coord(b);
         let left = if cut_x {
             Rect::new(rect.lx, rect.ly, c, rect.hy)
         } else {
             Rect::new(rect.lx, rect.ly, rect.hx, c)
         };
-        let cl = caps.free_in_rect(&left);
-        let imbalance = (cl - 0.5 * total).abs();
-        if best.is_none_or(|(bi, _)| imbalance < bi) {
-            best = Some((imbalance, c));
-        }
-    }
-    let cut = best.map(|(_, c)| c).unwrap_or(0.5 * (lo + hi));
+        caps.free_in_rect(&left) - 0.5 * total
+    };
+    // Bin capacities are ≥ 0 and rounding is monotone, so `excess` never
+    // decreases in `b`: the imbalance |excess| falls, then rises. The cut
+    // is the first boundary of least imbalance — the last deficit's first
+    // occurrence or the first surplus, whichever is smaller (ties go to
+    // the earlier one).
+    let cut = if first < end {
+        let surplus = lower_bound(first, end, |b| excess(b) < 0.0);
+        let deficit = (surplus > first).then(|| {
+            let e = excess(surplus - 1);
+            (lower_bound(first, surplus, |b| excess(b) < e), e.abs())
+        });
+        let best = match deficit {
+            Some((b, imbalance)) if surplus == end || imbalance <= excess(surplus).abs() => b,
+            _ => surplus,
+        };
+        coord(best)
+    } else {
+        0.5 * (lo + hi)
+    };
     Some(if cut_x {
         (
             Rect::new(rect.lx, rect.ly, cut, rect.hy),
@@ -153,6 +167,20 @@ fn capacity_median_cut(caps: &CapacityMap, rect: Rect, cut_x: bool) -> Option<(R
             Rect::new(rect.lx, cut, rect.hx, rect.hy),
         )
     })
+}
+
+/// The first `b` in `lo..hi` for which `pred` is false, or `hi`; `pred`
+/// must hold on a prefix of the range.
+fn lower_bound(mut lo: i64, mut hi: i64, pred: impl Fn(i64) -> bool) -> i64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Order-preserving, capacity-weighted 1-D spreading of a leaf: along each
@@ -345,6 +373,108 @@ mod tests {
         let mut one = stacked_items(1, (1.0, 1.0), 1.0);
         spread_in_rect(&caps, &mut one, caps.core());
         assert!(caps.core().contains(Point::new(one[0].x, one[0].y)));
+    }
+
+    /// The linear scan the bisection replaced, kept as the reference: one
+    /// `free_in_rect` per candidate boundary, first least imbalance wins.
+    fn scan_median_cut(caps: &CapacityMap, rect: Rect, cut_x: bool) -> Option<Rect> {
+        let (lo, hi, bin, origin) = if cut_x {
+            (rect.lx, rect.hx, caps.bin_width(), caps.core().lx)
+        } else {
+            (rect.ly, rect.hy, caps.bin_height(), caps.core().ly)
+        };
+        if hi - lo <= 0.0 {
+            return None;
+        }
+        let first = ((lo - origin) / bin).floor() as i64 + 1;
+        let last = ((hi - origin) / bin).ceil() as i64 - 1;
+        let total = caps.free_in_rect(&rect);
+        let mut best: Option<(f64, f64)> = None;
+        for b in first..=last {
+            let c = origin + b as f64 * bin;
+            if c <= lo + 1e-9 || c >= hi - 1e-9 {
+                continue;
+            }
+            let left = if cut_x {
+                Rect::new(rect.lx, rect.ly, c, rect.hy)
+            } else {
+                Rect::new(rect.lx, rect.ly, rect.hx, c)
+            };
+            let imbalance = (caps.free_in_rect(&left) - 0.5 * total).abs();
+            if best.is_none_or(|(bi, _)| imbalance < bi) {
+                best = Some((imbalance, c));
+            }
+        }
+        let cut = best.map(|(_, c)| c).unwrap_or(0.5 * (lo + hi));
+        Some(if cut_x {
+            Rect::new(rect.lx, rect.ly, cut, rect.hy)
+        } else {
+            Rect::new(rect.lx, rect.ly, rect.hx, cut)
+        })
+    }
+
+    /// A 40 × 40 core on a `bins`² grid (fractional bin edges unless
+    /// `bins` divides 40) with random obstacles plus whole blocked columns
+    /// and rows, whose zero capacity makes plateaus in the cut's excess.
+    fn obstacle_caps(
+        bins: usize,
+        obstacles: &[(f64, f64, f64, f64)],
+        blocked_cols: &[usize],
+        blocked_rows: &[usize],
+    ) -> CapacityMap {
+        let side = 40.0;
+        let pitch = side / bins as f64;
+        let mut b = DesignBuilder::new("cut", Rect::new(0.0, 0.0, side, side), 1.0);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("b", 1.0, 1.0, CellKind::Movable).unwrap();
+        b.add_net("n", 1.0, vec![(a, 0.0, 0.0), (c, 0.0, 0.0)])
+            .unwrap();
+        let mut fixed = Vec::new();
+        for &(x, y, w, h) in obstacles {
+            fixed.push((w, h, Point::new(x, y)));
+        }
+        for &j in blocked_cols {
+            let x = (j % bins) as f64 * pitch + 0.5 * pitch;
+            fixed.push((pitch, side, Point::new(x, 0.5 * side)));
+        }
+        for &j in blocked_rows {
+            let y = (j % bins) as f64 * pitch + 0.5 * pitch;
+            fixed.push((side, pitch, Point::new(0.5 * side, y)));
+        }
+        for (k, (w, h, at)) in fixed.into_iter().enumerate() {
+            b.add_fixed_cell(format!("f{k}"), w, h, CellKind::Fixed, at)
+                .unwrap();
+        }
+        CapacityMap::new(&b.build().unwrap(), bins, bins)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn median_cut_matches_the_linear_scan(
+            bins in 1usize..24,
+            obstacles in proptest::collection::vec(
+                (0.0f64..40.0, 0.0f64..40.0, 0.3f64..18.0, 0.3f64..18.0), 0..5),
+            blocked_cols in proptest::collection::vec(0usize..24, 0..8),
+            blocked_rows in proptest::collection::vec(0usize..24, 0..8),
+            (x0, x1, y0, y1) in (-2.0f64..42.0, -2.0f64..42.0, -2.0f64..42.0, -2.0f64..42.0),
+            snap in 0u8..2,
+            cut_x in 0u8..2,
+        ) {
+            let (snap, cut_x) = (snap == 1, cut_x == 1);
+            let caps = obstacle_caps(bins, &obstacles, &blocked_cols, &blocked_rows);
+            // Half the cases use bin-aligned edges, the rest fractional ones.
+            let pitch = 40.0 / bins as f64;
+            let edge = |v: f64| if snap { (v / pitch).round() * pitch } else { v };
+            let rect = Rect::new(
+                edge(x0.min(x1)),
+                edge(y0.min(y1)),
+                edge(x0.max(x1)),
+                edge(y0.max(y1)),
+            );
+            let got = capacity_median_cut(&caps, rect, cut_x).map(|(left, _)| left);
+            let want = scan_median_cut(&caps, rect, cut_x);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl QuadraticModel {
     /// Assembles one axis's system into `ws.matrix` and `ws.rhs`, with the
     /// warm start in `ws.sol[axis]`.
     ///
-    /// The matrix is the CSR of the triplet sequence chunk 0, …, chunk
+    /// The matrix is the [`CsrMatrix`] of the triplet sequence chunk 0, …, chunk
     /// k−1, anchor diagonals, regularization diagonals — the order of a
     /// sequential net loop followed by the anchor and regularization
     /// loops — so it is bit-identical for any chunking and thread count.

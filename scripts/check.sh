@@ -39,6 +39,12 @@ cargo clippy -q --no-deps --lib \
     -p complx-fft -p complx-oracle -p complx-serve \
     -- -D clippy::unwrap_used
 
+echo "== par_kernels: sequential and parallel kernels agree bit for bit =="
+# The harness asserts that a capped CG solve (a netlist-shaped system; two
+# of its three sizes split the dense-vector helpers) and the projection
+# P_C give identical bits at 1 and 4 threads, and prints the speedup table.
+./target/release/par_kernels --scale 8 --threads 4
+
 echo "== CLI smoke run: report + events + profiling validate (4 threads) =="
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
