@@ -9,55 +9,24 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use complx_netlist::generator::GeneratorConfig;
-use complx_place::{baselines, ComplxPlacer, PlacerConfig};
+use complx_place::{ComplxPlacer, PlacerConfig};
 
 fn bench_table1(c: &mut Criterion) {
     let design = GeneratorConfig::ispd2005_like("t1_bench", 77, 1500).generate();
     let mut group = c.benchmark_group("table1");
     group.sample_size(10);
-    group.bench_function("complx_default", |b| {
-        b.iter(|| {
-            black_box(
-                ComplxPlacer::new(PlacerConfig::default())
-                    .place(&design)
-                    .expect("placement failed")
-                    .hpwl_legal,
-            )
-        })
-    });
-    group.bench_function("complx_finest_grid", |b| {
-        b.iter(|| {
-            black_box(
-                ComplxPlacer::new(PlacerConfig::finest_grid())
-                    .place(&design)
-                    .expect("placement failed")
-                    .hpwl_legal,
-            )
-        })
-    });
-    group.bench_function("complx_pc_plus_dp", |b| {
-        b.iter(|| {
-            black_box(
-                ComplxPlacer::new(PlacerConfig::projection_with_detail())
-                    .place(&design)
-                    .expect("placement failed")
-                    .hpwl_legal,
-            )
-        })
-    });
-    group.bench_function("simpl_config", |b| {
-        b.iter(|| {
-            black_box(
-                baselines::simpl_placer()
-                    .place(&design)
-                    .expect("placement failed")
-                    .hpwl_legal,
-            )
-        })
-    });
-    group.bench_function("rql_like", |b| {
-        b.iter(|| black_box(baselines::RqlLike::default().place(&design).hpwl_legal))
-    });
+    for (name, cfg) in [
+        ("complx_default", PlacerConfig::default()),
+        ("complx_finest_grid", PlacerConfig::finest_grid()),
+        ("complx_pc_plus_dp", PlacerConfig::projection_with_detail()),
+        ("simpl_config", PlacerConfig::simpl()),
+        ("rql_like", PlacerConfig::rql_like()),
+    ] {
+        let placer = ComplxPlacer::new(cfg);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(placer.place(&design).expect("placement failed").hpwl_legal))
+        });
+    }
     group.finish();
 }
 

@@ -9,43 +9,25 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use complx_netlist::generator::GeneratorConfig;
-use complx_place::{baselines, ComplxPlacer, PlacerConfig};
+use complx_place::{ComplxPlacer, PlacerConfig};
 
 fn bench_table2(c: &mut Criterion) {
     let design = GeneratorConfig::ispd2006_like("t2_bench", 78, 1200, 0.8).generate();
     let mut group = c.benchmark_group("table2");
     group.sample_size(10);
-    group.bench_function("complx_mixed_size", |b| {
-        b.iter(|| {
-            black_box(
-                ComplxPlacer::new(PlacerConfig::default())
-                    .place(&design)
-                    .expect("placement failed")
-                    .metrics
-                    .scaled_hpwl,
-            )
-        })
-    });
-    group.bench_function("rql_like_mixed_size", |b| {
-        b.iter(|| {
-            black_box(
-                baselines::RqlLike::default()
-                    .place(&design)
-                    .metrics
-                    .scaled_hpwl,
-            )
-        })
-    });
-    group.bench_function("fastplace_like_mixed_size", |b| {
-        b.iter(|| {
-            black_box(
-                baselines::FastPlaceLike::default()
-                    .place(&design)
-                    .metrics
-                    .scaled_hpwl,
-            )
-        })
-    });
+    for (name, cfg) in [
+        ("complx_mixed_size", PlacerConfig::default()),
+        ("rql_like_mixed_size", PlacerConfig::rql_like()),
+        ("fastplace_like_mixed_size", PlacerConfig::fastplace_like()),
+    ] {
+        let placer = ComplxPlacer::new(cfg);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let outcome = placer.place(&design).expect("placement failed");
+                black_box(outcome.metrics.scaled_hpwl)
+            })
+        });
+    }
     group.finish();
 }
 

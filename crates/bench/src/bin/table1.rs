@@ -12,7 +12,7 @@
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
 use complx_bench::runs::{reported_run, suite_2005, timed_run};
 use complx_bench::{artifact_dir, geomean, scale_arg};
-use complx_place::{baselines, ComplxPlacer, PlacerConfig};
+use complx_place::{ComplxPlacer, PlacerConfig};
 
 fn main() {
     let scale = scale_arg();
@@ -38,11 +38,15 @@ fn main() {
             design.num_cells()
         );
         let (simpl, _) = timed_run(design, |d| {
-            baselines::simpl_placer()
+            ComplxPlacer::new(PlacerConfig::simpl())
                 .place(d)
                 .expect("placement failed")
         });
-        let (rql, _) = timed_run(design, |d| baselines::RqlLike::default().place(d));
+        let (rql, _) = timed_run(design, |d| {
+            ComplxPlacer::new(PlacerConfig::rql_like())
+                .place(d)
+                .expect("placement failed")
+        });
         let (best_hpwl, best_name) = if simpl.hpwl <= rql.hpwl {
             (simpl.hpwl, "SimPL")
         } else {

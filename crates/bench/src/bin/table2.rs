@@ -12,7 +12,7 @@
 use complx_bench::report::{fmt_hpwl_millions, Table};
 use complx_bench::runs::{suite_2006, timed_run};
 use complx_bench::{artifact_dir, geomean, scale_arg};
-use complx_place::{baselines, ComplxPlacer, PlacerConfig};
+use complx_place::{ComplxPlacer, PlacerConfig};
 
 fn main() {
     let scale = scale_arg();
@@ -37,18 +37,16 @@ fn main() {
             design.num_cells(),
             design.target_density()
         );
-        let (fp, _) = timed_run(design, |d| baselines::FastPlaceLike::default().place(d));
-        let (sp, _) = timed_run(design, |d| {
-            baselines::simpl_placer()
-                .place(d)
-                .expect("placement failed")
-        });
-        let (rq, _) = timed_run(design, |d| baselines::RqlLike::default().place(d));
-        let (cx, _) = timed_run(design, |d| {
-            ComplxPlacer::new(PlacerConfig::default())
-                .place(d)
-                .expect("placement failed")
-        });
+        let run = |cfg: PlacerConfig| {
+            timed_run(design, |d| {
+                ComplxPlacer::new(cfg).place(d).expect("placement failed")
+            })
+            .0
+        };
+        let fp = run(PlacerConfig::fastplace_like());
+        let sp = run(PlacerConfig::simpl());
+        let rq = run(PlacerConfig::rql_like());
+        let cx = run(PlacerConfig::default());
         for (i, s) in [&fp, &sp, &rq, &cx].iter().enumerate() {
             scaled[i].push(s.scaled_hpwl);
             penalties[i].push(s.overflow_percent);

@@ -1,50 +1,27 @@
-//! Baseline placers for the paper's comparisons (Tables 1 and 2).
+//! The one baseline that is not a ComPLx configuration.
 //!
-//! * [`simpl_placer`] — SimPL as a special case of ComPLx (Section 5):
-//!   the same machinery with SimPL's arithmetic pseudonet-weight schedule
-//!   and coarser convergence test.
-//! * [`FastPlaceLike`] — a FastPlace-3.0-style force-directed placer:
-//!   quadratic optimization plus *local* bin-based cell shifting (diffusion)
-//!   instead of a global feasibility projection.
-//! * [`RqlLike`] — an RQL-style variant of the same: relaxed quadratic
-//!   spreading with ad-hoc force-modulation thresholding (the foil the
-//!   paper's Section 3 describes).
-//! * [`CogConstrained`] — a GORDIAN-style center-of-gravity constrained
-//!   primal-dual placer, the §S4 comparison point.
+//! The force-directed baselines of the paper's comparisons (Tables 1 and
+//! 2) are [`PlacerConfig`] presets run by the same λ loop, just as paper
+//! Section 5 casts SimPL as a special case of ComPLx:
 //!
-//! The reimplementations are intentionally faithful to the *mechanisms*
-//! the paper contrasts (local subgradient-ish diffusion vs. global
-//! projection), not to every engineering detail of the original binaries.
+//! * [`PlacerConfig::simpl`] — SimPL: arithmetic pseudonet-weight growth
+//!   and a coarser convergence test.
+//! * [`PlacerConfig::rql_like`] — RQL: the same spreading with a fixed
+//!   arithmetic schedule and ad-hoc force modulation (anchor targets
+//!   clamped to a few bins), the foil of paper Section 3.
+//! * [`PlacerConfig::fastplace_like`] — FastPlace 3.0: the hybrid net
+//!   model and *local* bin-based cell shifting (diffusion) instead of a
+//!   global feasibility projection.
+//!
+//! [`CogConstrained`] — a GORDIAN-style center-of-gravity constrained
+//! primal-dual placer, the §S4 comparison point — uses explicit CoG
+//! constraints, a different formulation, so it keeps its own loop.
+//!
+//! [`PlacerConfig`]: crate::PlacerConfig
+//! [`PlacerConfig::simpl`]: crate::PlacerConfig::simpl
+//! [`PlacerConfig::rql_like`]: crate::PlacerConfig::rql_like
+//! [`PlacerConfig::fastplace_like`]: crate::PlacerConfig::fastplace_like
 
 mod cog;
-mod fastplace;
-mod rql;
 
 pub use cog::CogConstrained;
-pub use fastplace::FastPlaceLike;
-pub use rql::RqlLike;
-
-use crate::config::PlacerConfig;
-use crate::placer::ComplxPlacer;
-
-/// SimPL (Kim, Lee, Markov, TCAD 2012) expressed as a ComPLx configuration,
-/// exactly as paper Section 5 casts it: linearized-quadratic B2B Φ,
-/// look-ahead legalization as `P_C`, arithmetic pseudonet-weight growth.
-pub fn simpl_placer() -> ComplxPlacer {
-    ComplxPlacer::new(PlacerConfig::simpl())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::LambdaMode;
-
-    #[test]
-    fn simpl_preset_uses_arithmetic_lambda() {
-        let p = simpl_placer();
-        assert!(matches!(
-            p.config().lambda_mode,
-            LambdaMode::Arithmetic { .. }
-        ));
-    }
-}

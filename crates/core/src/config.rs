@@ -133,10 +133,12 @@ impl GridSchedule {
 
 /// Which feasibility-projection backend implements `P_C`.
 ///
-/// The paper treats `P_C` as a black box (Section 4); the repo ships two
+/// The paper treats `P_C` as a black box (Section 4); the repo ships three
 /// interchangeable implementations behind `complx_spread::Projection`:
-/// the geometric SimPL-style engine and the FFT electrostatic engine
-/// (FFTPL-style Poisson density equalization; ROADMAP item 2).
+/// the geometric SimPL-style engine, the FFT electrostatic engine
+/// (FFTPL-style Poisson density equalization) and FastPlace-style local
+/// diffusion. Only the first two are user-selectable by name; diffusion
+/// exists for the [`PlacerConfig::fastplace_like`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProjectionBackend {
     /// Geometric look-ahead legalization (clustering + bisection
@@ -146,6 +148,9 @@ pub enum ProjectionBackend {
     /// Electrostatic density equalization: charge density on a
     /// power-of-two grid, spectral Poisson solve, field-driven drift.
     Electro,
+    /// FastPlace-style local cell shifting down the bin-utilization
+    /// gradient — the "local subgradient" spreading of paper Section 3.
+    Diffusion,
 }
 
 impl std::fmt::Display for ProjectionBackend {
@@ -153,6 +158,7 @@ impl std::fmt::Display for ProjectionBackend {
         f.write_str(match self {
             ProjectionBackend::Geometric => "geometric",
             ProjectionBackend::Electro => "electro",
+            ProjectionBackend::Diffusion => "diffusion",
         })
     }
 }
@@ -278,6 +284,12 @@ pub struct PlacerConfig {
     /// feasible iterate (Section 4 reads the result off a feasible iterate,
     /// so further iterations cannot help).
     pub stagnation_window: usize,
+    /// RQL's force modulation (the ad-hoc thresholding paper Section 3
+    /// criticizes): each movable cell's anchor target may sit at most this
+    /// many bin widths from its current lower-bound position, per axis. A
+    /// bin width is the core width over the adaptive grid resolution, on
+    /// both axes. `None` anchors at the feasible iterate itself.
+    pub anchor_cap_bins: Option<f64>,
     /// Routability-driven cell inflation (SimPLR-lite); `None` disables it.
     pub routability: Option<RoutabilityConfig>,
     /// How many divergence recoveries (roll back to the best feasible
@@ -320,6 +332,7 @@ impl Default for PlacerConfig {
             cg_tolerance: 1e-5,
             cg_max_iterations: 50,
             stagnation_window: 12,
+            anchor_cap_bins: None,
             routability: None,
             max_recoveries: 3,
             time_budget: None,
@@ -379,6 +392,45 @@ impl PlacerConfig {
             ..Self::default()
         }
     }
+
+    /// An RQL-style baseline (Viswanathan et al., DAC 2007): SimPL-like
+    /// spreading on the finest grid with a fixed arithmetic multiplier
+    /// schedule and force modulation — anchor targets clamped to four bin
+    /// widths from each cell ([`Self::anchor_cap_bins`]). The stagnation
+    /// test never fires.
+    pub fn rql_like() -> Self {
+        Self {
+            lambda_mode: LambdaMode::Arithmetic { step: 40.0 },
+            lambda_inverse_ratio: false,
+            grid: GridSchedule::Fixed { fraction: 1.0 },
+            per_macro_lambda: false,
+            cg_max_iterations: 0,
+            stagnation_window: usize::MAX,
+            anchor_cap_bins: Some(4.0),
+            ..Self::default()
+        }
+    }
+
+    /// A FastPlace-3.0-style baseline: the hybrid clique/star net model,
+    /// local diffusion as `P_C` ([`ProjectionBackend::Diffusion`]) and
+    /// geometric anchor-weight growth. It stops only on overflow or the
+    /// iteration cap; the gap and stagnation tests never fire.
+    pub fn fastplace_like() -> Self {
+        Self {
+            interconnect: Interconnect::Quadratic(NetModel::HybridCliqueStar),
+            max_iterations: 120,
+            gap_tolerance: f64::NEG_INFINITY,
+            overflow_tolerance: 0.04,
+            lambda_mode: LambdaMode::Geometric { ratio: 1.3 },
+            lambda_inverse_ratio: false,
+            projection: ProjectionBackend::Diffusion,
+            grid: GridSchedule::Fixed { fraction: 1.0 },
+            per_macro_lambda: false,
+            cg_max_iterations: 0,
+            stagnation_window: usize::MAX,
+            ..Self::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -419,5 +471,17 @@ mod tests {
             PlacerConfig::simpl().lambda_mode,
             LambdaMode::Arithmetic { .. }
         ));
+        assert_eq!(d.anchor_cap_bins, None);
+        assert_eq!(PlacerConfig::rql_like().anchor_cap_bins, Some(4.0));
+        assert_eq!(
+            PlacerConfig::fastplace_like().projection,
+            ProjectionBackend::Diffusion
+        );
+    }
+
+    #[test]
+    fn diffusion_is_not_a_parsable_backend_name() {
+        assert_eq!("electro".parse(), Ok(ProjectionBackend::Electro));
+        assert!("diffusion".parse::<ProjectionBackend>().is_err());
     }
 }

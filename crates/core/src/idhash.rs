@@ -213,6 +213,13 @@ pub fn config_hash(cfg: &PlacerConfig) -> u64 {
     f.f64(cfg.cg_tolerance);
     f.usize(cfg.cg_max_iterations);
     f.usize(cfg.stagnation_window);
+    match cfg.anchor_cap_bins {
+        None => f.bool(false),
+        Some(cap) => {
+            f.bool(true);
+            f.f64(cap);
+        }
+    }
     match &cfg.routability {
         None => f.bool(false),
         Some(r) => {
@@ -227,6 +234,7 @@ pub fn config_hash(cfg: &PlacerConfig) -> u64 {
     f.u64(match cfg.projection {
         crate::config::ProjectionBackend::Geometric => 0,
         crate::config::ProjectionBackend::Electro => 1,
+        crate::config::ProjectionBackend::Diffusion => 2,
     });
     f.0
 }

@@ -40,8 +40,10 @@ impl LambdaSchedule {
         }
     }
 
-    /// Experimental: interpret the Π ratio as `Π_k/Π_{k+1}` (accelerate
-    /// while the penalty is falling) instead of `Π_{k+1}/Π_k`.
+    /// Interpret the Π ratio as `Π_k/Π_{k+1}` (accelerate while the
+    /// penalty is falling) instead of `Π_{k+1}/Π_k`. This is the default
+    /// reading (`PlacerConfig::lambda_inverse_ratio`, DESIGN.md §6); only
+    /// the [`LambdaMode::Complx`] rule has a Π ratio to invert.
     #[must_use]
     pub fn with_inverse_ratio(mut self, inverse: bool) -> Self {
         self.inverse_ratio = inverse;

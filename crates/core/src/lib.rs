@@ -36,9 +36,9 @@
 //! assert!(outcome.trace.len() >= 2);
 //! ```
 //!
-//! Baselines for the paper's comparisons live in [`baselines`]: a SimPL
-//! configuration (ComPLx restricted to SimPL's schedule, Section 5's
-//! "special cases"), and FastPlace/RQL-style force-directed placers.
+//! The paper's SimPL, RQL- and FastPlace-style comparison points are
+//! [`PlacerConfig`] presets of the same loop (Section 5's "special
+//! cases"); [`baselines`] holds the one that is not, the §S4 CoG placer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

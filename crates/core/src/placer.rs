@@ -12,7 +12,9 @@ use complx_netlist::{hpwl, CellKind, Design, Placement, Point};
 use complx_par::CancelToken;
 use complx_sparse::CgSolver;
 use complx_spread::rudy::CongestionMap;
-use complx_spread::{ElectroProjection, FeasibilityProjection, Projection, ProjectionResult};
+use complx_spread::{
+    DiffusionProjection, ElectroProjection, FeasibilityProjection, Projection, ProjectionResult,
+};
 use complx_wirelength::{
     Anchors, BetaRegModel, InterconnectModel, LseModel, PNormModel, QuadraticModel,
 };
@@ -353,6 +355,7 @@ impl<'a> Run<'a> {
                 cancel: placer.cancel.clone(),
                 ..ElectroProjection::default()
             }),
+            ProjectionBackend::Diffusion => Box::new(DiffusionProjection),
         };
         let mean_std = design.mean_std_cell_area().max(f64::MIN_POSITIVE);
         let lambda_scale = design
@@ -517,15 +520,25 @@ impl<'a> Run<'a> {
         // policy restores the last good iterates.
         let lower_prev = st.lower.clone();
 
-        // Primal step: minimize Φ + λ‖·−(x°,y°)‖₁ (linearized).
+        // Primal step: minimize Φ + λ‖·−(x°,y°)‖₁ (linearized), anchored
+        // at the feasible iterate — or, under RQL-style force modulation,
+        // at it clamped to a few bins from each cell.
+        let targets = match cfg.anchor_cap_bins {
+            Some(cap_bins) => clamp_moves(
+                design,
+                &st.lower,
+                st.upper.clone(),
+                cap_bins * design.core().width() / self.adaptive as f64,
+            ),
+            None => st.upper.clone(),
+        };
         let lambdas: Vec<f64> = self
             .lambda_scale
             .iter()
             .enumerate()
             .map(|(i, scale)| lambda * scale * self.criticality.map_or(1.0, |c| c[i]))
             .collect();
-        let anchors =
-            Anchors::per_cell(design, st.upper.clone(), lambdas, 1.5 * design.row_height());
+        let anchors = Anchors::per_cell(design, targets, lambdas, 1.5 * design.row_height());
         let stats = self.model.minimize(
             design,
             &mut st.lower,
@@ -856,6 +869,18 @@ fn validate_design(design: &Design) -> Result<(), PlaceError> {
     Ok(())
 }
 
+/// Moves each movable cell of `to` back to within `cap` of its position in
+/// `from`, per axis.
+fn clamp_moves(design: &Design, from: &Placement, mut to: Placement, cap: f64) -> Placement {
+    for &id in design.movable_cells() {
+        let (a, b) = (from.position(id), to.position(id));
+        let nx = a.x + (b.x - a.x).clamp(-cap, cap);
+        let ny = a.y + (b.y - a.y).clamp(-cap, cap);
+        to.set_position(id, Point::new(nx, ny));
+    }
+    to
+}
+
 /// Whether every movable cell sits at finite coordinates.
 fn placement_is_finite(design: &Design, p: &Placement) -> bool {
     design.movable_cells().iter().all(|&id| {
@@ -1059,16 +1084,33 @@ mod tests {
     }
 
     #[test]
+    fn clamp_moves_caps_each_axis() {
+        let d = small(72);
+        let from = d.initial_placement();
+        let mut to = from.clone();
+        for v in to.xs_mut() {
+            *v += 100.0;
+        }
+        let to = clamp_moves(&d, &from, to, 5.0);
+        for &id in d.movable_cells() {
+            let delta = (to.position(id).x - from.position(id).x).abs();
+            assert!(delta <= 5.0 + 1e-9);
+        }
+    }
+
+    #[test]
     fn pre_tripped_cancel_errors_before_feasible_iterate() {
         let d = small(1);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = ComplxPlacer::new(PlacerConfig::fast())
-            .with_cancel(token)
-            .place(&d)
-            .unwrap_err();
-        assert!(matches!(err, PlaceError::Cancelled), "got {err}");
-        assert_eq!(err.exit_code(), 8);
+        for cfg in [PlacerConfig::fast(), PlacerConfig::fastplace_like()] {
+            let token = CancelToken::new();
+            token.cancel();
+            let err = ComplxPlacer::new(cfg)
+                .with_cancel(token)
+                .place(&d)
+                .unwrap_err();
+            assert!(matches!(err, PlaceError::Cancelled), "got {err}");
+            assert_eq!(err.exit_code(), 8);
+        }
     }
 
     #[test]
@@ -1086,19 +1128,26 @@ mod tests {
 
     #[test]
     fn kill_then_resume_reproduces_uninterrupted_run() {
+        let fast = PlacerConfig {
+            max_iterations: 20,
+            ..PlacerConfig::fast()
+        };
+        assert_kill_then_resume_is_identical(fast, "fast");
+        assert_kill_then_resume_is_identical(PlacerConfig::rql_like(), "rql");
+    }
+
+    /// Kills a checkpointed `base` run at iteration 5, resumes it, and
+    /// asserts the result is byte-identical to the uninterrupted run.
+    fn assert_kill_then_resume_is_identical(base: PlacerConfig, tag: &str) {
         use crate::config::CheckpointConfig;
         use crate::faults::FaultPlan;
 
         let d = small(6);
-        let dir = std::env::temp_dir().join(format!("complx-placer-resume-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("complx-placer-resume-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt_a = dir.join("a.ckpt");
         let ckpt_b = dir.join("b.ckpt");
-
-        let base = PlacerConfig {
-            max_iterations: 20,
-            ..PlacerConfig::fast()
-        };
 
         // Reference: uninterrupted checkpointed run.
         let cfg_a = PlacerConfig {
@@ -1176,15 +1225,24 @@ mod tests {
         );
         assert_eq!(err.exit_code(), 9);
 
-        let other_cfg = PlacerConfig {
-            max_iterations: 25,
-            ..cfg
-        };
-        let err = ComplxPlacer::new(other_cfg).resume(&d, state).unwrap_err();
-        assert!(
-            matches!(err, PlaceError::CheckpointMismatch { .. }),
-            "got {err}"
-        );
+        for other_cfg in [
+            PlacerConfig {
+                max_iterations: 25,
+                ..cfg.clone()
+            },
+            PlacerConfig {
+                anchor_cap_bins: Some(4.0),
+                ..cfg.clone()
+            },
+        ] {
+            let err = ComplxPlacer::new(other_cfg)
+                .resume(&d, state.clone())
+                .unwrap_err();
+            assert!(
+                matches!(err, PlaceError::CheckpointMismatch { .. }),
+                "got {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -52,6 +52,7 @@ pub fn config_json(cfg: &PlacerConfig) -> JsonValue {
     JsonValue::object(vec![
         ("interconnect", interconnect.into()),
         ("lambda_mode", lambda_mode.into()),
+        ("lambda_inverse_ratio", cfg.lambda_inverse_ratio.into()),
         ("projection", cfg.projection.to_string().into()),
         ("grid", grid.into()),
         ("max_iterations", cfg.max_iterations.into()),
@@ -63,6 +64,11 @@ pub fn config_json(cfg: &PlacerConfig) -> JsonValue {
         ("shred_macros", cfg.shred_macros.into()),
         ("detail_each_iteration", cfg.detail_each_iteration.into()),
         ("final_detail", cfg.final_detail.into()),
+        ("stagnation_window", cfg.stagnation_window.into()),
+        (
+            "anchor_cap_bins",
+            cfg.anchor_cap_bins.map_or(JsonValue::Null, JsonValue::from),
+        ),
         ("routability", cfg.routability.is_some().into()),
         ("max_recoveries", cfg.max_recoveries.into()),
         (
@@ -110,7 +116,8 @@ pub fn parallel_json(harvest: Option<&Harvest>) -> JsonValue {
 
 /// Builds the full run manifest for one placement outcome.
 ///
-/// `config` is `None` for baselines that run without a [`PlacerConfig`];
+/// `config` is `None` for placers that run without a [`PlacerConfig`]
+/// (the CoG baseline);
 /// `harvest` is `None` when no observability pipeline was armed (the
 /// report then carries metrics and the iteration trace but no phase
 /// timings); `total_seconds` is the caller's wall clock for the run.
@@ -211,7 +218,10 @@ mod tests {
     #[test]
     fn report_covers_run_and_round_trips() {
         let d = GeneratorConfig::small("rep", 11).generate();
-        let cfg = PlacerConfig::fast();
+        let cfg = PlacerConfig {
+            anchor_cap_bins: Some(4.0),
+            ..PlacerConfig::fast()
+        };
         complx_obs::install(Vec::new());
         let t0 = std::time::Instant::now();
         let outcome = ComplxPlacer::new(cfg.clone()).place(&d).expect("places");
@@ -241,6 +251,20 @@ mod tests {
             back.metrics.get("hpwl").and_then(JsonValue::as_f64),
             Some(outcome.metrics.hpwl)
         );
+        // The config section says how a preset differs from the default.
+        let config = |key: &str| back.config.get(key).cloned();
+        assert_eq!(
+            config("anchor_cap_bins").and_then(|v| v.as_f64()),
+            Some(4.0)
+        );
+        assert_eq!(
+            config("stagnation_window").and_then(|v| v.as_i64()),
+            Some(cfg.stagnation_window as i64)
+        );
+        assert_eq!(
+            config("lambda_inverse_ratio"),
+            Some(JsonValue::Bool(cfg.lambda_inverse_ratio))
+        );
         let iters = back.iterations.as_array().expect("array");
         assert_eq!(iters.len(), outcome.trace.records().len());
         assert!(back.stop_reason.contains(&outcome.stop_reason.to_string()));
@@ -249,11 +273,12 @@ mod tests {
     #[test]
     fn report_without_harvest_or_config_still_builds() {
         let d = GeneratorConfig::small("rep2", 12).generate();
-        let outcome = crate::baselines::RqlLike {
+        let outcome = ComplxPlacer::new(PlacerConfig {
             max_iterations: 10,
-            ..Default::default()
-        }
-        .place(&d);
+            ..PlacerConfig::rql_like()
+        })
+        .place(&d)
+        .expect("places");
         let report = run_report(&d, None, &outcome, None, 1.0);
         assert!(report.phases.is_empty());
         assert_eq!(report.config, JsonValue::Null);

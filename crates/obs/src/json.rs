@@ -182,7 +182,7 @@ impl From<i64> for JsonValue {
 }
 impl From<usize> for JsonValue {
     fn from(v: usize) -> Self {
-        JsonValue::Int(v as i64)
+        JsonValue::from(v as u64)
     }
 }
 impl From<u64> for JsonValue {

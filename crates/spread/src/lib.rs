@@ -43,6 +43,7 @@
 mod bisect;
 mod capacity;
 mod cluster;
+mod diffusion;
 mod electro;
 mod items;
 mod projection;
@@ -54,6 +55,7 @@ pub mod shred;
 pub use bisect::spread_in_rect;
 pub use capacity::CapacityMap;
 pub use cluster::{cluster, SpreadRegion};
+pub use diffusion::DiffusionProjection;
 pub use electro::{ElectroField, ElectroProjection};
 pub use items::Item;
 pub use projection::{FeasibilityProjection, Projection, ProjectionResult};

@@ -14,6 +14,11 @@ echo "== build (release) =="
 # would skip the member binaries (complx, report_check) the smoke run needs.
 cargo build --release --workspace
 
+echo "== benches compile =="
+# `cargo test --workspace` never builds the `harness = false` bench
+# targets, so an API change could silently break them.
+cargo check -q --workspace --benches
+
 echo "== tests (COMPLX_THREADS=1) =="
 COMPLX_THREADS=1 cargo test -q --workspace
 

@@ -5,15 +5,14 @@
 //!   from-first-principles recomputation (HPWL to 1e-9 relative, overflow
 //!   to 1e-6 absolute) — a bug that corrupts both the placement and its
 //!   reported quality cannot hide.
-//! * ComPLx-configured-as-SimPL (Section 5) vs `baselines::simpl_placer`
-//!   on identical seeds: the preset and the baseline constructor must be
-//!   the *same* placer, bit for bit.
-//! * The FastPlace- and RQL-style baselines: their legal outputs must
-//!   pass the oracle's legality audit and their self-reported HPWL must
-//!   match the oracle's, and all three placers must land in the same
-//!   quality ballpark on the same instance.
-//! * Real placer traces (both λ schedules) must satisfy the paper's
-//!   invariants as enforced by `oracle::check_trace`.
+//! * The baseline presets (SimPL, RQL- and FastPlace-like): their traces
+//!   must satisfy the paper's invariants under the monotone λ rule, the
+//!   RQL- and FastPlace-like legal outputs must pass the oracle's legality
+//!   audit with self-reported metrics matching the oracle's, and all of
+//!   them must land in the same quality ballpark as ComPLx on the same
+//!   instance.
+//! * Real ComPLx traces must satisfy the paper's invariants (Formula 12
+//!   included) as enforced by `oracle::check_trace`.
 //! * `legalize::legality_report` vs `oracle::audit`: independent overlap
 //!   sweeps (bucket grid vs row-band sweep) agree on legal and on
 //!   deliberately corrupted placements.
@@ -21,7 +20,6 @@
 use complx_repro::legalize;
 use complx_repro::netlist::{generator::GeneratorConfig, Design, Point};
 use complx_repro::oracle::{self, LambdaRule, TraceChecks};
-use complx_repro::place::baselines::{simpl_placer, FastPlaceLike, RqlLike};
 use complx_repro::place::{ComplxPlacer, PlacementOutcome, PlacerConfig};
 
 fn design_600(seed: u64) -> Design {
@@ -80,39 +78,6 @@ fn oracle_matches_internal_metrics_on_macro_design() {
 }
 
 #[test]
-fn simpl_preset_and_baseline_are_the_same_placer() {
-    // Section 5 casts SimPL as a ComPLx configuration; the baseline
-    // constructor must therefore be *identical* to the preset — same
-    // config, and bit-identical output on the same seed.
-    let design = design_600(42);
-    let a = ComplxPlacer::new(PlacerConfig::simpl())
-        .place(&design)
-        .unwrap();
-    let b = simpl_placer().place(&design).unwrap();
-    assert_eq!(a.legal, b.legal, "simpl preset and baseline diverged");
-    assert_eq!(a.iterations, b.iterations);
-    assert_eq!(a.final_lambda.to_bits(), b.final_lambda.to_bits());
-}
-
-#[test]
-fn fastplace_baseline_output_is_audit_legal() {
-    let design = design_600(7);
-    let out = FastPlaceLike::default().place(&design);
-    assert_metrics_match(&design, &out, "fastplace");
-    let audit = oracle::audit(&design, &out.legal);
-    assert!(audit.is_legal(1e-6), "{audit:?}");
-}
-
-#[test]
-fn rql_baseline_output_is_audit_legal() {
-    let design = design_600(7);
-    let out = RqlLike::default().place(&design);
-    assert_metrics_match(&design, &out, "rql");
-    let audit = oracle::audit(&design, &out.legal);
-    assert!(audit.is_legal(1e-6), "{audit:?}");
-}
-
-#[test]
 fn placers_land_in_the_same_quality_ballpark() {
     // Identical seed, four placers. They optimize the same objective, so
     // oracle HPWL must agree within a wide factor — a placer 3× off is
@@ -122,11 +87,12 @@ fn placers_land_in_the_same_quality_ballpark() {
         .place(&design)
         .unwrap();
     let reference = oracle::hpwl(&design, &complx.legal);
-    for (name, legal) in [
-        ("simpl", simpl_placer().place(&design).unwrap().legal),
-        ("fastplace", FastPlaceLike::default().place(&design).legal),
-        ("rql", RqlLike::default().place(&design).legal),
+    for (name, cfg) in [
+        ("simpl", PlacerConfig::simpl()),
+        ("fastplace", PlacerConfig::fastplace_like()),
+        ("rql", PlacerConfig::rql_like()),
     ] {
+        let legal = ComplxPlacer::new(cfg).place(&design).unwrap().legal;
         let h = oracle::hpwl(&design, &legal);
         assert!(
             h <= 3.0 * reference && reference <= 3.0 * h,
@@ -173,6 +139,29 @@ fn real_simpl_trace_satisfies_monotone_invariants() {
         .place(&design)
         .unwrap();
     assert_trace_clean(&out, LambdaRule::Monotone, "simpl");
+}
+
+/// A baseline preset's legal output passes the oracle's audit, its
+/// self-reported metrics match the oracle's, and its trace satisfies the
+/// paper's invariants under the monotone λ rule (its schedule, like
+/// SimPL's, may legally exceed the Formula-12 cap).
+fn assert_preset_audit_legal(cfg: PlacerConfig, seed: u64, ctx: &str) {
+    let design = design_600(seed);
+    let out = ComplxPlacer::new(cfg).place(&design).unwrap();
+    assert_metrics_match(&design, &out, ctx);
+    let audit = oracle::audit(&design, &out.legal);
+    assert!(audit.is_legal(1e-6), "{ctx}: {audit:?}");
+    assert_trace_clean(&out, LambdaRule::Monotone, ctx);
+}
+
+#[test]
+fn fastplace_baseline_output_is_audit_legal() {
+    assert_preset_audit_legal(PlacerConfig::fastplace_like(), 7, "fastplace");
+}
+
+#[test]
+fn rql_baseline_output_is_audit_legal() {
+    assert_preset_audit_legal(PlacerConfig::rql_like(), 7, "rql");
 }
 
 #[test]

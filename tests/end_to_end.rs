@@ -4,7 +4,7 @@
 
 use complx_repro::legalize::{is_legal, legality_report};
 use complx_repro::netlist::{generator::GeneratorConfig, hpwl};
-use complx_repro::place::{baselines, ComplxPlacer, PlacerConfig};
+use complx_repro::place::{ComplxPlacer, PlacerConfig};
 
 #[test]
 fn full_pipeline_produces_legal_quality_placement() {
@@ -46,49 +46,44 @@ fn complx_beats_or_matches_every_baseline() {
     let cx = ComplxPlacer::new(PlacerConfig::default())
         .place(&design)
         .expect("placement failed");
-    let simpl = baselines::simpl_placer()
-        .place(&design)
-        .expect("placement failed");
-    let fp = baselines::FastPlaceLike::default().place(&design);
-
-    // The paper's headline: ComPLx outperforms SimPL (by ~1%) and the
-    // force-directed placers. Allow a small tolerance for suite noise.
-    assert!(
-        cx.hpwl_legal <= simpl.hpwl_legal * 1.03,
-        "complx {} vs simpl {}",
-        cx.hpwl_legal,
-        simpl.hpwl_legal
-    );
-    assert!(
-        cx.hpwl_legal < fp.hpwl_legal,
-        "complx {} vs fastplace-like {}",
-        cx.hpwl_legal,
-        fp.hpwl_legal
-    );
+    // The paper's headline: ComPLx outperforms SimPL (by ~1%; allow a
+    // small tolerance for suite noise) and the force-directed placers.
+    for (name, cfg, slack) in [
+        ("simpl", PlacerConfig::simpl(), 1.03),
+        ("rql-like", PlacerConfig::rql_like(), 1.0),
+        ("fastplace-like", PlacerConfig::fastplace_like(), 1.0),
+    ] {
+        let baseline = ComplxPlacer::new(cfg)
+            .place(&design)
+            .expect("placement failed");
+        assert!(
+            cx.hpwl_legal < baseline.hpwl_legal * slack,
+            "complx {} vs {name} {}",
+            cx.hpwl_legal,
+            baseline.hpwl_legal
+        );
+    }
 }
 
 #[test]
 fn all_placers_produce_legal_placements_on_mixed_design() {
     let design = GeneratorConfig::ispd2006_like("legal6", 5, 900, 0.7).generate();
-    let runs = [
-        ComplxPlacer::new(PlacerConfig::fast())
-            .place(&design)
-            .expect("placement failed"),
-        baselines::simpl_placer()
-            .place(&design)
-            .expect("placement failed"),
-        baselines::FastPlaceLike {
+    let configs = [
+        PlacerConfig::fast(),
+        PlacerConfig::simpl(),
+        PlacerConfig {
             max_iterations: 30,
-            ..Default::default()
-        }
-        .place(&design),
-        baselines::RqlLike {
+            ..PlacerConfig::fastplace_like()
+        },
+        PlacerConfig {
             max_iterations: 30,
-            ..Default::default()
-        }
-        .place(&design),
+            ..PlacerConfig::rql_like()
+        },
     ];
-    for (i, out) in runs.iter().enumerate() {
+    for (i, cfg) in configs.into_iter().enumerate() {
+        let out = ComplxPlacer::new(cfg)
+            .place(&design)
+            .expect("placement failed");
         assert!(is_legal(&design, &out.legal, 1e-6), "placer #{i} illegal");
     }
 }
