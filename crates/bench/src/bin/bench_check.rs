@@ -13,6 +13,8 @@
 //!
 //! Exit 0 on pass, 1 on violations or invalid input.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::process::ExitCode;
 
 use complx_bench::snapshot::{compare, measure_placer_suite, BenchSnapshot, Tolerances};

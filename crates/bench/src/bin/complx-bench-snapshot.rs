@@ -9,6 +9,8 @@
 //! trajectory after an intentional performance change; `bench_check`
 //! gates `scripts/check.sh` against it.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -8,6 +8,8 @@
 //! Usage: `cargo run --release -p complx-bench --bin fig1_convergence
 //! [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::plot::ascii_chart;
 use complx_bench::svg::xy_plot;
 use complx_bench::{artifact_dir, scale_arg};

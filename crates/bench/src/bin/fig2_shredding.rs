@@ -6,6 +6,8 @@
 //! Usage: `cargo run --release -p complx-bench --bin fig2_shredding
 //! [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::svg::placement_snapshot;
 use complx_bench::{artifact_dir, scale_arg};
 use complx_place::{ComplxPlacer, PlacerConfig};

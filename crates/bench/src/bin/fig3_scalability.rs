@@ -7,6 +7,8 @@
 //! Usage: `cargo run --release -p complx-bench --bin fig3_scalability
 //! [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::report::Table;
 use complx_bench::runs::{reported_run, suite_2005, suite_2006};
 use complx_bench::svg::xy_plot;

@@ -7,6 +7,8 @@
 //! Usage: `cargo run --release -p complx-bench --bin fig5_timing
 //! [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::report::Table;
 use complx_bench::svg::placement_snapshot;
 use complx_bench::{artifact_dir, scale_arg};
@@ -56,7 +58,7 @@ fn main() {
         }
         selected_nets.extend(&nets);
         // Downweight found nets so the next extraction finds another path.
-        masked = reweight_nets(&masked, &nets, 1e-6);
+        masked = reweight_nets(&masked, &nets, 1e-6).expect("finite scaled weights");
     }
     selected_nets.sort_unstable();
     selected_nets.dedup();
@@ -75,12 +77,14 @@ fn main() {
     let mut path_lengths = Vec::new();
     let mut totals = Vec::new();
     for &w in &[1.0f64, 20.0, 40.0] {
-        // lint:allow(no-float-eq): w ranges over exact literals; 1.0 is
-        // the unweighted sentinel, not a computed value
+        #[expect(
+            clippy::float_cmp,
+            reason = "w ranges over exact literals; 1.0 is the unweighted sentinel, not a computed value"
+        )]
         let d = if w == 1.0 {
             design.clone()
         } else {
-            reweight_nets(&design, &selected_nets, w)
+            reweight_nets(&design, &selected_nets, w).expect("finite scaled weights")
         };
         let out = ComplxPlacer::new(PlacerConfig::default())
             .place(&d)

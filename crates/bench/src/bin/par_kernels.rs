@@ -14,6 +14,8 @@
 //! [--scale N] [--threads N]`. Writes `target/paper/par_kernels.txt` and
 //! `target/paper/par_kernels.json`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::time::Instant;
 
 use complx_bench::report::Table;

@@ -12,6 +12,8 @@
 //! Usage: `cargo run --release -p complx-bench --bin s2_self_consistency
 //! [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::report::Table;
 use complx_bench::runs::suite_2005;
 use complx_bench::{artifact_dir, scale_arg};

@@ -9,6 +9,8 @@
 //! (instance sizes are divided by 40·N; N=1 reproduces the full synthetic
 //! suite).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
 use complx_bench::runs::{reported_run, suite_2005, timed_run};
 use complx_bench::{artifact_dir, geomean, scale_arg};

@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run --release -p complx-bench --bin table2 [--scale N]`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use complx_bench::report::{fmt_hpwl_millions, Table};
 use complx_bench::runs::{suite_2006, timed_run};
 use complx_bench::{artifact_dir, geomean, scale_arg};

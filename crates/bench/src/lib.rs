@@ -5,6 +5,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
 pub mod plot;
 pub mod report;
@@ -34,8 +47,10 @@ pub fn geomean(values: &[f64]) -> f64 {
 /// demand.
 pub fn artifact_dir() -> std::path::PathBuf {
     let dir = std::path::PathBuf::from("target/paper");
-    // lint:allow(no-expect): bench binaries abort loudly when the artifact
-    // tree cannot be created — there is nowhere to write results to.
+    #[expect(
+        clippy::expect_used,
+        reason = "bench binaries abort loudly when the artifact tree cannot be created: there is nowhere to write results to"
+    )]
     std::fs::create_dir_all(&dir).expect("artifact directory must be creatable");
     dir
 }

@@ -402,10 +402,12 @@ pub fn run_case(spec: &MatrixSpec) -> BenchCase {
     prof::reset_mem_counters();
     complx_obs::install(Vec::new());
     let t = Instant::now();
+    #[expect(
+        clippy::panic,
+        reason = "a generated bench design that fails to place is a broken placer; the gate must abort, not soft-fail"
+    )]
     let outcome = ComplxPlacer::new(cfg)
         .place(&design)
-        // lint:allow(no-panic): a generated bench design that fails to
-        // place is a broken placer; the gate must abort, not soft-fail.
         .unwrap_or_else(|e| panic!("bench case {}@{}: {e}", spec.name, spec.threads));
     let wall = t.elapsed().as_secs_f64();
     let harvest = complx_obs::harvest().unwrap_or_default();
@@ -524,7 +526,7 @@ impl Default for Tolerances {
 
 fn rel_diff(a: f64, b: f64) -> f64 {
     let denom = a.abs().max(b.abs());
-    // lint:allow(no-float-eq): exact zero is the both-values-are-zero
+    // Exact zero is the both-values-are-zero
     // sentinel; any nonzero denominator must divide.
     if denom == 0.0 {
         0.0

@@ -240,7 +240,7 @@ pub fn xy_plot(series: &[PlotSeries<'_>], x_label: &str, y_label: &str, log_y: b
 /// scientific notation.
 fn format_tick(v: f64) -> String {
     let a = v.abs();
-    // lint:allow(no-float-eq): exact zero picks the "0" tick label; every
+    // Exact zero picks the "0" tick label; every
     // other magnitude takes the ranged formatting below.
     if a == 0.0 {
         "0".to_string()

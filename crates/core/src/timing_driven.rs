@@ -69,7 +69,9 @@ impl TimingDrivenPlacer {
     ///
     /// # Errors
     ///
-    /// Propagates any [`PlaceError`] from the underlying placement rounds.
+    /// Propagates any [`PlaceError`] from the underlying placement rounds,
+    /// and returns [`PlaceError::InvalidDesign`] when a boosted net weight
+    /// overflows.
     pub fn place(&self, design: &Design) -> Result<TimingDrivenOutcome, PlaceError> {
         let mut working = design.clone();
         let mut criticality = vec![1.0f64; design.num_cells()];
@@ -114,14 +116,18 @@ impl TimingDrivenPlacer {
                 .net_ids()
                 .filter(|n| factors[n.index()] > 1.0)
                 .collect();
-            working = complx_timing::scale_net_weights(&working, &factors);
+            working = complx_timing::scale_net_weights(&working, &factors).map_err(|e| {
+                PlaceError::InvalidDesign {
+                    reason: e.to_string(),
+                }
+            })?;
             outcome = ComplxPlacer::new(self.placer.clone())
                 .place_with_criticality(&working, Some(&criticality))?;
             let delay = graph
                 .analyze(design, &outcome.legal, &self.delay)
                 .critical_path_delay;
             delays.push(delay);
-            if delay < best.0 || (delay == best.0 && outcome.hpwl_legal < best.1) {
+            if (delay, outcome.hpwl_legal) < (best.0, best.1) {
                 best = (delay, outcome.hpwl_legal, outcome.clone());
             }
         }
@@ -176,7 +182,7 @@ mod tests {
                 .sum()
         };
         let before = path_len(&base.legal);
-        let boosted_design = complx_timing::reweight_nets(&d, &nets, 20.0);
+        let boosted_design = complx_timing::reweight_nets(&d, &nets, 20.0).unwrap();
         let boosted = ComplxPlacer::new(PlacerConfig::fast())
             .place(&boosted_design)
             .unwrap();

@@ -1,12 +1,31 @@
-//! A minimal JSON document model with a hand-rolled serializer and parser.
+//! `complx-json` — the workspace's one JSON implementation: a minimal
+//! document model with a hand-rolled serializer and parser.
 //!
-//! The instrumentation layer must stay dependency-free, so this module
-//! implements exactly the subset of JSON the run reports and JSONL event
-//! streams need: objects with ordered keys, arrays, strings, booleans,
-//! integers and floats. Non-finite floats serialize as `null` (JSON has no
-//! NaN/Inf). The parser accepts any RFC 8259 document produced by the
-//! serializer (and standard JSON generally) and exists so round-trip tests
-//! and the `report_check` CI gate need no external JSON library.
+//! The crate has no dependencies, so both the instrumentation layer
+//! (`complx-obs`, which re-exports it) and the linter (`complx-lint`) can
+//! use it. It implements exactly the subset of JSON the run reports, JSONL
+//! event streams and lint reports need: objects with ordered keys, arrays,
+//! strings, booleans, integers and floats. Non-finite floats serialize as
+//! `null` (JSON has no NaN/Inf). The parser accepts any RFC 8259 document
+//! produced by the serializer (and standard JSON generally) nested at most
+//! [`MAX_DEPTH`] deep, so a hostile input is an error, not a stack
+//! overflow.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
 use std::fmt::Write as _;
 
@@ -63,8 +82,6 @@ impl JsonValue {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Int(i) => Some(*i),
-            // lint:allow(no-float-eq): zero fract is the exact definition
-            // of "integral" here; any tolerance would misclassify.
             JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(*n as i64),
             _ => None,
         }
@@ -249,12 +266,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The workspace writes
+/// documents at most a handful of levels deep; the bound only exists so a
+/// hostile input cannot overflow the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Trailing whitespace is allowed; trailing garbage
-/// is an error.
+/// and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -268,6 +291,8 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +333,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -317,6 +345,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, ParseError> {
@@ -526,6 +564,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -136,7 +136,8 @@ pub fn legality_report_with_tol(
         }
     }
     // BTreeSet, not HashSet: verify runs inside determinism tests, and the
-    // no-unordered-iter contract bans unordered containers crate-wide.
+    // determinism contract bans unordered containers crate-wide (the
+    // crate's clippy.toml disallowed-types list).
     let mut seen: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
     for bucket in &grid {
         for i in 0..bucket.len() {

@@ -1,38 +1,28 @@
 //! Hand-parsed `lint.toml` policy file.
 //!
 //! The parser accepts the TOML subset the policy actually needs — `[a.b]`
-//! section headers, `key = "string"`, `key = true|false`, and
-//! `key = ["a", "b"]` arrays, with `#` comments — and rejects everything
-//! else loudly. Keeping the parser ~100 lines is the point: the linter
-//! must not need third-party crates to read its own policy.
+//! section headers, `key = "string"` and `key = ["a", "b"]` arrays, with
+//! `#` comments — and rejects everything else loudly. Keeping the parser
+//! ~100 lines is the point: the linter must not need third-party crates to
+//! read its own policy.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed policy: which crates are scanned and, per rule, which crates
-/// it applies to and whether it also runs inside `#[cfg(test)]` code.
+/// The interprocedural analyses, in diagnostic-stable order. These are
+/// also the only rule ids a `// lint:allow(<rule>)` waiver may name.
+pub const ANALYSES: &[&str] = &["nondet-taint", "panic-path", "lock-order"];
+
+/// A parsed policy: which crates are scanned and how each interprocedural
+/// analysis is configured.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Crate directory names under `crates/` to scan.
     pub scan_crates: Vec<String>,
-    /// Rule id -> policy. Rules absent from the file do not run.
-    pub rules: BTreeMap<String, RulePolicy>,
     /// Interprocedural analysis id (`nondet-taint`, `panic-path`,
     /// `lock-order`) -> its configuration. Analyses absent from the file
     /// do not run.
     pub analyses: BTreeMap<String, AnalysisPolicy>,
-}
-
-/// Per-rule scoping.
-#[derive(Debug, Clone, Default)]
-pub struct RulePolicy {
-    /// Crates the rule applies to; `["*"]` means every scanned crate.
-    pub crates: Vec<String>,
-    /// When true the rule also fires inside `#[cfg(test)]` modules.
-    pub include_tests: bool,
-    /// When true the rule also fires in `src/bin/` files (exempt by
-    /// default: CLI entry points legitimately print, time, and exit).
-    pub include_bins: bool,
 }
 
 /// Configuration for one interprocedural analysis ([analysis.<id>]).
@@ -54,23 +44,6 @@ pub struct AnalysisPolicy {
 }
 
 impl Config {
-    /// True when `rule` is enabled for `krate`.
-    pub fn rule_applies(&self, rule: &str, krate: &str) -> bool {
-        self.rules.get(rule).is_some_and(|p| {
-            p.crates.iter().any(|c| c == "*") || p.crates.iter().any(|c| c == krate)
-        })
-    }
-
-    /// True when `rule` also runs in test code for `krate`.
-    pub fn rule_in_tests(&self, rule: &str) -> bool {
-        self.rules.get(rule).is_some_and(|p| p.include_tests)
-    }
-
-    /// True when `rule` also runs in `src/bin/` files.
-    pub fn rule_in_bins(&self, rule: &str) -> bool {
-        self.rules.get(rule).is_some_and(|p| p.include_bins)
-    }
-
     /// True when the interprocedural analysis `id` could anchor findings
     /// in `krate` — used by waiver hygiene to decide whether an unused
     /// analysis waiver is a finding.
@@ -107,7 +80,7 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
 }
 
 /// Parses the policy text. Unknown sections or keys are errors so typos
-/// cannot silently disable a rule.
+/// cannot silently disable an analysis.
 pub fn parse(text: &str) -> Result<Config, ConfigError> {
     let mut cfg = Config::default();
     let mut section = String::new();
@@ -122,17 +95,11 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 .strip_suffix(']')
                 .ok_or_else(|| err(lineno, "unterminated section header"))?;
             section = name.trim().to_string();
-            if section != "scan"
-                && !section.starts_with("rules.")
-                && !section.starts_with("analysis.")
-            {
+            if section != "scan" && !section.starts_with("analysis.") {
                 return Err(err(lineno, format!("unknown section [{section}]")));
             }
-            if let Some(rule) = section.strip_prefix("rules.") {
-                cfg.rules.entry(rule.to_string()).or_default();
-            }
             if let Some(id) = section.strip_prefix("analysis.") {
-                if !matches!(id, "nondet-taint" | "panic-path" | "lock-order") {
+                if !ANALYSES.contains(&id) {
                     return Err(err(lineno, format!("unknown analysis `{id}`")));
                 }
                 cfg.analyses.entry(id.to_string()).or_default();
@@ -145,16 +112,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         let (key, value) = (key.trim(), value.trim());
         match (section.as_str(), key) {
             ("scan", "crates") => cfg.scan_crates = parse_array(value, lineno)?,
-            (s, k) if s.starts_with("rules.") => {
-                let rule = s.trim_start_matches("rules.").to_string();
-                let policy = cfg.rules.entry(rule).or_default();
-                match k {
-                    "crates" => policy.crates = parse_array(value, lineno)?,
-                    "include-tests" => policy.include_tests = parse_bool(value, lineno)?,
-                    "include-bins" => policy.include_bins = parse_bool(value, lineno)?,
-                    other => return Err(err(lineno, format!("unknown rule key `{other}`"))),
-                }
-            }
             (s, k) if s.starts_with("analysis.") => {
                 let id = s.trim_start_matches("analysis.").to_string();
                 let policy = cfg.analyses.entry(id).or_default();
@@ -198,14 +155,6 @@ fn parse_string(value: &str, lineno: usize) -> Result<String, ConfigError> {
         .ok_or_else(|| err(lineno, format!("expected quoted string, got `{value}`")))
 }
 
-fn parse_bool(value: &str, lineno: usize) -> Result<bool, ConfigError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(err(lineno, format!("expected true/false, got `{other}`"))),
-    }
-}
-
 fn parse_array(value: &str, lineno: usize) -> Result<Vec<String>, ConfigError> {
     let inner = value
         .strip_prefix('[')
@@ -236,46 +185,7 @@ mod tests {
             r#"
 # policy
 [scan]
-crates = ["par", "sparse"]  # trailing comment
-
-[rules.no-unwrap]
-crates = ["*"]
-
-[rules.no-unordered-iter]
-crates = ["par"]
-include-tests = true
-"#,
-        )
-        .expect("parses");
-        assert_eq!(cfg.scan_crates, vec!["par", "sparse"]);
-        assert!(cfg.rule_applies("no-unwrap", "sparse"));
-        assert!(cfg.rule_applies("no-unordered-iter", "par"));
-        assert!(!cfg.rule_applies("no-unordered-iter", "sparse"));
-        assert!(cfg.rule_in_tests("no-unordered-iter"));
-        assert!(!cfg.rule_in_tests("no-unwrap"));
-        assert!(!cfg.rule_applies("no-such-rule", "par"));
-    }
-
-    #[test]
-    fn rejects_typos() {
-        assert!(parse("[scan]\ncrate = [\"a\"]").is_err());
-        assert!(parse("[rules.no-unwrap]\ncrates = \"*\"").is_err());
-        assert!(parse("[unknown]\nx = 1").is_err());
-        assert!(parse("").is_err());
-        assert!(parse("[scan]\ncrates = [\"a\"]\n[analysis.bogus]\n").is_err());
-        assert!(parse("[scan]\ncrates = [\"a\"]\n[analysis.lock-order]\nhelpers = \"x\"").is_err());
-    }
-
-    #[test]
-    fn parses_analysis_sections_and_bins() {
-        let cfg = parse(
-            r#"
-[scan]
-crates = ["serve", "core", "obs"]
-
-[rules.safety-comment]
-crates = ["*"]
-include-bins = true
+crates = ["serve", "core", "obs"]  # trailing comment
 
 [analysis.nondet-taint]
 entry-points = ["ComplxPlacer::place", "core::service::solve"]
@@ -287,8 +197,7 @@ helper = "lock_or_recover"
 "#,
         )
         .expect("parses");
-        assert!(cfg.rule_in_bins("safety-comment"));
-        assert!(!cfg.rule_in_bins("no-unwrap"));
+        assert_eq!(cfg.scan_crates, vec!["serve", "core", "obs"]);
         let taint = &cfg.analyses["nondet-taint"];
         assert_eq!(taint.entry_points.len(), 2);
         assert_eq!(taint.exempt_crates, vec!["obs"]);
@@ -297,5 +206,18 @@ helper = "lock_or_recover"
         assert!(!cfg.analysis_applies("nondet-taint", "obs"));
         assert!(cfg.analysis_applies("lock-order", "serve"));
         assert!(!cfg.analysis_applies("lock-order", "core"));
+        assert!(!cfg.analysis_applies("panic-path", "core"));
+    }
+
+    #[test]
+    fn rejects_typos() {
+        assert!(parse("[scan]\ncrate = [\"a\"]").is_err());
+        assert!(parse("[scan]\ncrates = \"*\"").is_err());
+        assert!(parse("[unknown]\nx = 1").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("[scan]\ncrates = [\"a\"]\n[analysis.bogus]\n").is_err());
+        assert!(parse("[scan]\ncrates = [\"a\"]\n[analysis.lock-order]\nhelpers = \"x\"").is_err());
+        // The token rules moved to clippy; their old sections are typos now.
+        assert!(parse("[scan]\ncrates = [\"a\"]\n[rules.no-unwrap]\ncrates = [\"*\"]").is_err());
     }
 }

@@ -1,23 +1,22 @@
-//! A small hand-rolled Rust lexer — just enough syntax awareness to run
-//! token-level lint rules without dragging in `syn` or `proc-macro2`.
+//! A small hand-rolled Rust lexer — just enough syntax awareness to feed
+//! the item parser and the call-graph analyses without dragging in `syn`
+//! or `proc-macro2`.
 //!
 //! The lexer understands the token shapes that would otherwise cause false
 //! positives in a grep-based checker: string literals (plain, raw, byte),
 //! char literals vs. lifetimes, nested block comments, numeric literals
-//! (with float detection, suffixes, and tuple-field access like `x.0.1`),
-//! and compound operators (`==`, `::`, `..=`, …). Every token and comment
+//! (with exponents, suffixes, and tuple-field access like `x.0.1`), and
+//! compound operators (`==`, `::`, `..=`, …). Every token and comment
 //! carries a 1-based line/column so diagnostics can point at the exact
 //! source location.
 
-/// Token classes the rules care about.
+/// Token classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (rules match on the text).
+    /// Identifier or keyword (the analyses match on the text).
     Ident,
-    /// Integer literal (including hex/octal/binary and suffixed forms).
-    Int,
-    /// Float literal (`1.0`, `1.`, `1e3`, `2f64`, …).
-    Float,
+    /// Numeric literal of any form (`2`, `0x1f`, `1.0`, `1e-3`, `2f64`, …).
+    Num,
     /// String literal of any flavour (plain, raw, byte).
     Str,
     /// Char or byte-char literal.
@@ -418,7 +417,7 @@ fn lex_number(cur: &mut Cursor, prev: &[Tok], line: u32, col: u32) -> Tok {
         .last()
         .is_some_and(|t| t.kind == TokKind::Punct && t.text == ".");
     let mut text = String::new();
-    let mut is_float = false;
+    let mut seen_dot = false;
     // Radix prefixes are always integers.
     if cur.peek(0) == Some('0') && matches!(cur.peek(1), Some('x') | Some('o') | Some('b')) {
         text.push(cur.bump().unwrap_or('0'));
@@ -431,7 +430,7 @@ fn lex_number(cur: &mut Cursor, prev: &[Tok], line: u32, col: u32) -> Tok {
             cur.bump();
         }
         return Tok {
-            kind: TokKind::Int,
+            kind: TokKind::Num,
             text,
             line,
             col,
@@ -443,14 +442,14 @@ fn lex_number(cur: &mut Cursor, prev: &[Tok], line: u32, col: u32) -> Tok {
             cur.bump();
             continue;
         }
-        if ch == '.' && !is_float && !field_access {
+        if ch == '.' && !seen_dot && !field_access {
             match cur.peek(1) {
                 // `1..2` is a range, `1.max(2)` a method call.
                 Some('.') => break,
                 Some(c2) if is_ident_start(c2) => break,
                 // `1.0` and trailing-dot floats like `1.;`.
                 _ => {
-                    is_float = true;
+                    seen_dot = true;
                     text.push(ch);
                     cur.bump();
                     continue;
@@ -462,7 +461,7 @@ fn lex_number(cur: &mut Cursor, prev: &[Tok], line: u32, col: u32) -> Tok {
                 || ((c2 == '+' || c2 == '-')
                     && matches!(cur.peek(2), Some(c3) if c3.is_ascii_digit())))
         {
-            is_float = true;
+            seen_dot = true;
             text.push(ch);
             cur.bump();
             if let Some(sign @ ('+' | '-')) = cur.peek(0) {
@@ -472,29 +471,19 @@ fn lex_number(cur: &mut Cursor, prev: &[Tok], line: u32, col: u32) -> Tok {
             continue;
         }
         if is_ident_continue(ch) {
-            // Suffix: `f64`/`f32` forces float, others keep the kind.
-            let mut suffix = String::new();
+            // Type suffix (`u32`, `f64`, …).
             while let Some(c2) = cur.peek(0) {
                 if !is_ident_continue(c2) {
                     break;
                 }
-                suffix.push(c2);
+                text.push(c2);
                 cur.bump();
             }
-            if suffix.starts_with("f32") || suffix.starts_with("f64") {
-                is_float = true;
-            }
-            text.push_str(&suffix);
-            break;
         }
         break;
     }
     Tok {
-        kind: if is_float {
-            TokKind::Float
-        } else {
-            TokKind::Int
-        },
+        kind: TokKind::Num,
         text,
         line,
         col,
@@ -514,23 +503,23 @@ mod tests {
     }
 
     #[test]
-    fn floats_ints_and_field_access() {
+    fn numbers_and_field_access() {
         assert_eq!(
-            kinds("1.0 2 0x1f 1e3 2f64 x.0.1 1..2"),
+            kinds("1.0 2 0x1f 1e-3 2f64 x.0.1 1..2"),
             vec![
-                (TokKind::Float, "1.0".into()),
-                (TokKind::Int, "2".into()),
-                (TokKind::Int, "0x1f".into()),
-                (TokKind::Float, "1e3".into()),
-                (TokKind::Float, "2f64".into()),
+                (TokKind::Num, "1.0".into()),
+                (TokKind::Num, "2".into()),
+                (TokKind::Num, "0x1f".into()),
+                (TokKind::Num, "1e-3".into()),
+                (TokKind::Num, "2f64".into()),
                 (TokKind::Ident, "x".into()),
                 (TokKind::Punct, ".".into()),
-                (TokKind::Int, "0".into()),
+                (TokKind::Num, "0".into()),
                 (TokKind::Punct, ".".into()),
-                (TokKind::Int, "1".into()),
-                (TokKind::Int, "1".into()),
+                (TokKind::Num, "1".into()),
+                (TokKind::Num, "1".into()),
                 (TokKind::Punct, "..".into()),
-                (TokKind::Int, "2".into()),
+                (TokKind::Num, "2".into()),
             ]
         );
     }
@@ -551,7 +540,7 @@ mod tests {
 
     #[test]
     fn strings_hide_their_contents() {
-        // Nothing inside a string may look like a token to the rules.
+        // Nothing inside a string may look like a token to the analyses.
         let l = lex(r####"let s = r#"panic! { unwrap() "quote"#; x"####);
         let idents: Vec<_> = l
             .toks

@@ -1,35 +1,48 @@
-//! `complx-lint` — a zero-dependency static-analysis pass that enforces
-//! the repo's determinism and no-panic contracts.
+//! `complx-lint` — a call-graph static-analysis pass that enforces the
+//! repo's determinism, no-panic and lock-order contracts through helper
+//! functions.
 //!
 //! PR 3's parallel runtime guarantees bit-identical `f64` results for any
-//! thread count, and PR 1 promised panic-free solver code. Those contracts
-//! only hold if nobody quietly reintroduces a `HashMap` iteration into a
-//! deterministic kernel or an `unwrap()` into a solve path — so, in the
-//! spirit of ComPLx's own analyzability argument (transparent,
-//! self-contained algorithms over black boxes), the workspace checks its
-//! invariants mechanically. The checker is hand-rolled on a small Rust
-//! lexer (no `syn`, no external crates), reads its policy from `lint.toml`
-//! at the workspace root, and prints findings as
-//! `file:line:col: rule: message`.
+//! thread count, PR 1 promised panic-free solver code, and the job server
+//! must not deadlock. Per-token checks of those contracts (no `unwrap`, no
+//! `HashMap` in a kernel crate, …) are clippy lints configured in the
+//! workspace manifest, each crate's `lib.rs` and per-crate `clippy.toml`
+//! files (DESIGN.md §12). What clippy cannot see is *reachability*: an
+//! `unwrap` wrapped in a helper, a wall-clock read two crates below a
+//! solve entry point, an acquisition-order cycle across functions. So, in
+//! the spirit of ComPLx's own analyzability argument (transparent,
+//! self-contained algorithms over black boxes), the workspace checks those
+//! mechanically here. The checker is hand-rolled on a small Rust lexer and
+//! item parser (no `syn`), reads its policy from `lint.toml` at the
+//! workspace root, and prints findings as `file:line:col: rule: message`.
 //!
-//! # Rule catalog
+//! # Analyses
 //!
-//! | rule | contract |
-//! |------|----------|
-//! | `no-unwrap` | library code must not `.unwrap()` |
-//! | `no-expect` | library code must not `.expect()` |
-//! | `no-panic`  | no `panic!`/`unreachable!`/`todo!`/`unimplemented!` (asserts stay allowed) |
-//! | `safety-comment` | every `unsafe` block carries a `// SAFETY:` comment |
-//! | `no-unordered-iter` | no `HashMap`/`HashSet` in deterministic kernel crates |
-//! | `no-wallclock-in-kernel` | no `Instant::now`/`SystemTime` in kernel crates |
-//! | `no-float-eq` | no `==`/`!=` against float literals in solver code |
+//! | analysis | contract |
+//! |----------|----------|
+//! | `nondet-taint` | no nondeterminism source reachable from a solve entry point |
+//! | `panic-path` | no `unwrap`/`expect`/`panic!` family reachable from a solve entry point |
+//! | `lock-order` | job-server locks go through one helper and form no acquisition cycle |
 //!
-//! Per-site escapes are spelled `// lint:allow(<rule>): <reason>` on (or
-//! directly above) the offending line; a waiver without a reason, naming
-//! an unknown rule, or suppressing nothing is itself a finding.
+//! Per-site escapes are spelled `// lint:allow(<analysis>): <reason>` on
+//! (or directly above) the offending line; a waiver without a reason,
+//! naming an unknown analysis, or suppressing nothing is itself a finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
 pub mod config;
 pub mod lexer;
@@ -37,13 +50,11 @@ pub mod locks;
 pub mod parser;
 pub mod report;
 pub mod resolve;
-pub mod rules;
 pub mod scan;
 pub mod taint;
 
-pub use config::{parse as parse_config, Config};
-pub use rules::ALL_RULES;
-pub use scan::{lint_source, lint_workspace, Diagnostic};
+pub use config::{parse as parse_config, Config, ANALYSES};
+pub use scan::{lint_workspace, Diagnostic};
 
 use std::path::{Path, PathBuf};
 

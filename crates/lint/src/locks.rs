@@ -232,14 +232,19 @@ pub(crate) fn lock_order_findings(
                 {
                     continue;
                 }
-                if unit.in_tests(t.line) {
+                if unit
+                    .parsed
+                    .fns
+                    .iter()
+                    .any(|f| f.in_tests && f.body.0 <= i && i < f.body.1)
+                {
                     continue;
                 }
                 hits.push((t.line, t.col));
             }
         }
         for (line, col) in hits {
-            if unit.waived_by_any(&[RULE], line) {
+            if unit.waived(RULE, line) {
                 continue;
             }
             out.push(Diagnostic {
@@ -327,7 +332,7 @@ pub(crate) fn lock_order_findings(
     for cycle in cycles(&order) {
         let witness = &order[&(cycle[0].clone(), cycle[1].clone())];
         let unit = &mut units[witness.file];
-        if unit.waived_by_any(&[RULE], witness.line) {
+        if unit.waived(RULE, witness.line) {
             continue;
         }
         let ring = {
@@ -444,6 +449,7 @@ fn shortest_cycle<'a>(
 mod tests {
     use super::*;
     use crate::lexer::lex;
+    use crate::resolve::{build_graph, FileInput};
 
     fn sim(src: &str) -> FnLocks {
         let lexed = lex(src);
@@ -518,6 +524,42 @@ mod tests {
             (s.pairs[0].0.as_str(), s.pairs[0].1.as_str()),
             ("jobs", "jobs")
         );
+    }
+
+    #[test]
+    fn raw_lock_in_cfg_test_items_is_exempt() {
+        let src = "\
+pub fn lock_or_recover(m: &Mutex<u32>) -> MutexGuard<'_, u32> { m.lock().unwrap() }
+pub fn bypass(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }
+#[cfg(test)]
+mod tests {
+    fn t(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }
+}
+#[cfg(test)]
+fn u(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }
+";
+        let cfg = crate::config::parse(
+            "[scan]\ncrates = [\"demo\"]\n\
+             [analysis.lock-order]\ncrates = [\"demo\"]\nhelper = \"lock_or_recover\"\n",
+        )
+        .expect("test config parses");
+        let mut units = vec![FileUnit::new("demo", "demo.rs", "lib.rs", src)];
+        let inputs: Vec<FileInput<'_>> = units
+            .iter()
+            .map(|u| FileInput {
+                krate: &u.krate,
+                is_bin: u.is_bin,
+                lexed: &u.lexed,
+                parsed: &u.parsed,
+            })
+            .collect();
+        let graph = build_graph(&inputs, &BTreeMap::new());
+        let lines: Vec<u32> = lock_order_findings(&graph, &mut units, &cfg)
+            .iter()
+            .map(|d| d.line)
+            .collect();
+        // Only the non-test bypass on line 2 is a finding.
+        assert_eq!(lines, vec![2]);
     }
 
     #[test]

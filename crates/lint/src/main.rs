@@ -9,6 +9,20 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -180,9 +194,8 @@ fn main() -> ExitCode {
     if run.diagnostics.is_empty() {
         if !quiet {
             eprintln!(
-                "complx-lint: clean ({} crates, {} rules, {} analyses, {} fns / {} edges)",
+                "complx-lint: clean ({} crates, {} analyses, {} fns / {} edges)",
                 cfg.scan_crates.len(),
-                cfg.rules.len(),
                 cfg.analyses.len(),
                 run.graph.nodes.len(),
                 run.graph.edge_count()

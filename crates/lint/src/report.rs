@@ -2,11 +2,10 @@
 //!
 //! CI (scripts/check.sh) archives one JSON document per lint run so
 //! downstream tooling can diff findings and waiver inventories across
-//! commits without re-parsing human-oriented terminal output. The format
-//! is hand-rolled — both the serializer and the validating parser live
-//! here — because this crate's one deliberate constraint is zero
-//! dependencies (`complx-obs` has a JSON layer, but depending on a crate
-//! this linter lints would invert the build order).
+//! commits without re-parsing human-oriented terminal output. It is
+//! written and read with `complx-json`, the workspace's one JSON codec, a
+//! leaf crate with no dependencies of its own (so the linter still builds
+//! before anything it lints).
 //!
 //! Schema (all keys required):
 //!
@@ -18,17 +17,19 @@
 //!   "graph": {"functions": 1200, "edges": 3400},
 //!   "findings": [
 //!     {"file": "crates/x/src/a.rs", "line": 3, "col": 9,
-//!      "rule": "no-unwrap", "message": "…"}
+//!      "rule": "panic-path", "message": "…"}
 //!   ],
 //!   "waivers": [
-//!     {"file": "crates/x/src/a.rs", "line": 2, "rule": "no-unwrap",
+//!     {"file": "crates/x/src/a.rs", "line": 2, "rule": "panic-path",
 //!      "reason": "…", "used": true}
 //!   ],
-//!   "summary": {"findings": 1, "waivers": 1, "by_rule": {"no-unwrap": 1}}
+//!   "summary": {"findings": 1, "waivers": 1, "by_rule": {"panic-path": 1}}
 //! }
 //! ```
 
 use std::collections::BTreeMap;
+
+use complx_json::{parse, JsonValue};
 
 use crate::config::Config;
 use crate::scan::WorkspaceRun;
@@ -36,365 +37,139 @@ use crate::scan::WorkspaceRun;
 /// The schema identifier embedded in, and required of, every report.
 pub const SCHEMA: &str = "complx-lint-report/v1";
 
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Serializes a workspace run to the `complx-lint-report/v1` document.
 pub fn render(run: &WorkspaceRun, cfg: &Config) -> String {
-    let mut s = String::with_capacity(4096);
-    s.push_str("{\n  \"schema\": ");
-    escape(SCHEMA, &mut s);
-    s.push_str(",\n  \"crates\": [");
-    for (i, c) in cfg.scan_crates.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        escape(c, &mut s);
-    }
-    s.push_str("],\n  \"files_scanned\": ");
-    s.push_str(&run.files_scanned.to_string());
-    s.push_str(",\n  \"graph\": {\"functions\": ");
-    s.push_str(&run.graph.nodes.len().to_string());
-    s.push_str(", \"edges\": ");
-    s.push_str(&run.graph.edge_count().to_string());
-    s.push_str("},\n  \"findings\": [");
-    for (i, d) in run.diagnostics.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str("{\"file\": ");
-        escape(&d.file, &mut s);
-        s.push_str(&format!(
-            ", \"line\": {}, \"col\": {}, \"rule\": ",
-            d.line, d.col
-        ));
-        escape(&d.rule, &mut s);
-        s.push_str(", \"message\": ");
-        escape(&d.message, &mut s);
-        s.push('}');
-    }
-    if !run.diagnostics.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"waivers\": [");
-    for (i, w) in run.waivers.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        s.push_str("{\"file\": ");
-        escape(&w.file, &mut s);
-        s.push_str(&format!(", \"line\": {}, \"rule\": ", w.line));
-        escape(&w.rule, &mut s);
-        s.push_str(", \"reason\": ");
-        escape(&w.reason, &mut s);
-        s.push_str(&format!(", \"used\": {}}}", w.used));
-    }
-    if !run.waivers.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"summary\": {\"findings\": ");
-    s.push_str(&run.diagnostics.len().to_string());
-    s.push_str(", \"waivers\": ");
-    s.push_str(&run.waivers.len().to_string());
-    s.push_str(", \"by_rule\": {");
+    let findings = run
+        .diagnostics
+        .iter()
+        .map(|d| {
+            JsonValue::object(vec![
+                ("file", d.file.as_str().into()),
+                ("line", u64::from(d.line).into()),
+                ("col", u64::from(d.col).into()),
+                ("rule", d.rule.as_str().into()),
+                ("message", d.message.as_str().into()),
+            ])
+        })
+        .collect();
+    let waivers = run
+        .waivers
+        .iter()
+        .map(|w| {
+            JsonValue::object(vec![
+                ("file", w.file.as_str().into()),
+                ("line", u64::from(w.line).into()),
+                ("rule", w.rule.as_str().into()),
+                ("reason", w.reason.as_str().into()),
+                ("used", w.used.into()),
+            ])
+        })
+        .collect();
     let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
     for d in &run.diagnostics {
         *by_rule.entry(&d.rule).or_default() += 1;
     }
-    for (i, (rule, n)) in by_rule.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        escape(rule, &mut s);
-        s.push_str(&format!(": {n}"));
-    }
-    s.push_str("}}\n}\n");
-    s
+    let doc = JsonValue::object(vec![
+        ("schema", SCHEMA.into()),
+        (
+            "crates",
+            JsonValue::Arr(cfg.scan_crates.iter().map(|c| c.as_str().into()).collect()),
+        ),
+        ("files_scanned", run.files_scanned.into()),
+        (
+            "graph",
+            JsonValue::object(vec![
+                ("functions", run.graph.nodes.len().into()),
+                ("edges", run.graph.edge_count().into()),
+            ]),
+        ),
+        ("findings", JsonValue::Arr(findings)),
+        ("waivers", JsonValue::Arr(waivers)),
+        (
+            "summary",
+            JsonValue::object(vec![
+                ("findings", run.diagnostics.len().into()),
+                ("waivers", run.waivers.len().into()),
+                (
+                    "by_rule",
+                    JsonValue::Obj(
+                        by_rule
+                            .into_iter()
+                            .map(|(rule, n)| (rule.to_string(), n.into()))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+    ]);
+    let mut text = doc.to_json_pretty();
+    text.push('\n');
+    text
 }
 
-/// A parsed JSON value — just enough of the grammar for report validation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true`/`false`
-    Bool(bool),
-    /// Any JSON number (validated reports only use non-negative integers).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, key-ordered.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
-        if depth > 64 {
-            return Err("nesting too deep".to_string());
-        }
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                self.ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                loop {
-                    self.ws();
-                    let key = match self.value(depth + 1)? {
-                        Value::Str(s) => s,
-                        _ => {
-                            return Err(format!("object key must be a string at byte {}", self.pos))
-                        }
-                    };
-                    self.expect_byte(b':')?;
-                    let val = self.value(depth + 1)?;
-                    map.insert(key, val);
-                    self.ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(map));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut arr = Vec::new();
-                self.ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(self.value(depth + 1)?);
-                    self.ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'"') => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.bytes.get(self.pos) {
-                        None => return Err("unterminated string".to_string()),
-                        Some(b'"') => {
-                            self.pos += 1;
-                            return Ok(Value::Str(s));
-                        }
-                        Some(b'\\') => {
-                            self.pos += 1;
-                            match self.bytes.get(self.pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'/') => s.push('/'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b'r') => s.push('\r'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'b') => s.push('\u{8}'),
-                                Some(b'f') => s.push('\u{c}'),
-                                Some(b'u') => {
-                                    let hex = self
-                                        .bytes
-                                        .get(self.pos + 1..self.pos + 5)
-                                        .ok_or("truncated \\u escape")?;
-                                    let hex = std::str::from_utf8(hex)
-                                        .map_err(|_| "bad \\u escape".to_string())?;
-                                    let code = u32::from_str_radix(hex, 16)
-                                        .map_err(|_| "bad \\u escape".to_string())?;
-                                    // Surrogates collapse to the
-                                    // replacement char — the report never
-                                    // emits them.
-                                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                    self.pos += 4;
-                                }
-                                _ => return Err("bad escape".to_string()),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(_) => {
-                            // Consume one UTF-8 scalar.
-                            let rest = &self.bytes[self.pos..];
-                            let text = std::str::from_utf8(rest)
-                                .map_err(|_| "invalid utf-8".to_string())?;
-                            let c = text.chars().next().ok_or("unterminated string")?;
-                            s.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                    }
-                }
-            }
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if self.bytes[self.pos..].starts_with(b"null") => {
-                self.pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = self.pos;
-                while self
-                    .bytes
-                    .get(self.pos)
-                    .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8".to_string())?;
-                text.parse::<f64>()
-                    .map(Value::Num)
-                    .map_err(|_| format!("bad number `{text}` at byte {start}"))
-            }
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-}
-
-/// Parses a JSON document.
-pub fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value(0)?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-fn require<'v>(v: &'v Value, key: &str, what: &str) -> Result<&'v Value, String> {
+fn require<'v>(v: &'v JsonValue, key: &str, what: &str) -> Result<&'v JsonValue, String> {
     v.get(key)
         .ok_or_else(|| format!("{what}: missing key `{key}`"))
 }
 
-fn require_u64(v: &Value, key: &str, what: &str) -> Result<u64, String> {
-    match require(v, key, what)? {
-        // lint:allow(no-float-eq): zero fractional part is the integer-ness test
-        Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("{what}: `{key}` must be a non-negative integer")),
-    }
+fn require_u64(v: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
+    require(v, key, what)?
+        .as_i64()
+        .and_then(|n| u64::try_from(n).ok())
+        .ok_or_else(|| format!("{what}: `{key}` must be a non-negative integer"))
 }
 
-fn require_str<'v>(v: &'v Value, key: &str, what: &str) -> Result<&'v str, String> {
-    match require(v, key, what)? {
-        Value::Str(s) => Ok(s),
-        _ => Err(format!("{what}: `{key}` must be a string")),
-    }
+fn require_str<'v>(v: &'v JsonValue, key: &str, what: &str) -> Result<&'v str, String> {
+    require(v, key, what)?
+        .as_str()
+        .ok_or_else(|| format!("{what}: `{key}` must be a string"))
+}
+
+fn require_array<'v>(v: &'v JsonValue, key: &str, what: &str) -> Result<&'v [JsonValue], String> {
+    require(v, key, what)?
+        .as_array()
+        .ok_or_else(|| format!("{what}: `{key}` must be an array"))
 }
 
 /// Validates that `text` is a well-formed `complx-lint-report/v1`
 /// document and returns its (findings, waivers) counts.
 pub fn validate(text: &str) -> Result<(usize, usize), String> {
-    let doc = parse_json(text)?;
+    let doc = parse(text).map_err(|e| e.to_string())?;
     let schema = require_str(&doc, "schema", "report")?;
     if schema != SCHEMA {
         return Err(format!("schema is `{schema}`, expected `{SCHEMA}`"));
     }
-    match require(&doc, "crates", "report")? {
-        Value::Arr(items) if items.iter().all(|i| matches!(i, Value::Str(_))) => {}
-        _ => return Err("report: `crates` must be an array of strings".to_string()),
+    if !require_array(&doc, "crates", "report")?
+        .iter()
+        .all(|c| c.as_str().is_some())
+    {
+        return Err("report: `crates` must be an array of strings".to_string());
     }
     require_u64(&doc, "files_scanned", "report")?;
     let graph = require(&doc, "graph", "report")?;
     require_u64(graph, "functions", "graph")?;
     require_u64(graph, "edges", "graph")?;
-    let findings = match require(&doc, "findings", "report")? {
-        Value::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let what = format!("findings[{i}]");
-                require_str(item, "file", &what)?;
-                require_u64(item, "line", &what)?;
-                require_u64(item, "col", &what)?;
-                require_str(item, "rule", &what)?;
-                require_str(item, "message", &what)?;
-            }
-            items.len()
+    let findings = require_array(&doc, "findings", "report")?;
+    for (i, item) in findings.iter().enumerate() {
+        let what = format!("findings[{i}]");
+        require_str(item, "file", &what)?;
+        require_u64(item, "line", &what)?;
+        require_u64(item, "col", &what)?;
+        require_str(item, "rule", &what)?;
+        require_str(item, "message", &what)?;
+    }
+    let waivers = require_array(&doc, "waivers", "report")?;
+    for (i, item) in waivers.iter().enumerate() {
+        let what = format!("waivers[{i}]");
+        require_str(item, "file", &what)?;
+        require_u64(item, "line", &what)?;
+        require_str(item, "rule", &what)?;
+        require_str(item, "reason", &what)?;
+        if require(item, "used", &what)?.as_bool().is_none() {
+            return Err(format!("{what}: `used` must be a bool"));
         }
-        _ => return Err("report: `findings` must be an array".to_string()),
-    };
-    let waivers = match require(&doc, "waivers", "report")? {
-        Value::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let what = format!("waivers[{i}]");
-                require_str(item, "file", &what)?;
-                require_u64(item, "line", &what)?;
-                require_str(item, "rule", &what)?;
-                require_str(item, "reason", &what)?;
-                match require(item, "used", &what)? {
-                    Value::Bool(_) => {}
-                    _ => return Err(format!("{what}: `used` must be a bool")),
-                }
-            }
-            items.len()
-        }
-        _ => return Err("report: `waivers` must be an array".to_string()),
-    };
+    }
+    let (findings, waivers) = (findings.len(), waivers.len());
     let summary = require(&doc, "summary", "report")?;
     let n = require_u64(summary, "findings", "summary")? as usize;
     let m = require_u64(summary, "waivers", "summary")? as usize;
@@ -409,12 +184,11 @@ pub fn validate(text: &str) -> Result<(usize, usize), String> {
         ));
     }
     match require(summary, "by_rule", "summary")? {
-        Value::Obj(map) => {
-            let total: f64 = map
-                .values()
-                .map(|v| if let Value::Num(n) = v { *n } else { f64::NAN })
+        JsonValue::Obj(counts) => {
+            let total: f64 = counts
+                .iter()
+                .map(|(_, v)| v.as_f64().unwrap_or(f64::NAN))
                 .sum();
-            // lint:allow(no-float-eq): zero fractional part is the integer-ness test
             if total.fract() != 0.0 || total as usize != findings {
                 return Err("summary.by_rule counts do not sum to summary.findings".to_string());
             }
@@ -436,14 +210,14 @@ mod tests {
                 file: "crates/x/src/a.rs".to_string(),
                 line: 3,
                 col: 9,
-                rule: "no-unwrap".to_string(),
+                rule: "panic-path".to_string(),
                 message: "quote \" and\nnewline".to_string(),
             }],
             graph: CallGraph::default(),
             waivers: vec![WaiverRecord {
                 file: "crates/x/src/a.rs".to_string(),
                 line: 2,
-                rule: "no-unwrap".to_string(),
+                rule: "panic-path".to_string(),
                 reason: "startup".to_string(),
                 used: true,
             }],
@@ -457,6 +231,13 @@ mod tests {
         let text = render(&sample_run(), &cfg);
         let (findings, waivers) = validate(&text).expect("valid report");
         assert_eq!((findings, waivers), (1, 1));
+        let doc = parse(&text).expect("parses");
+        let message = doc
+            .get("findings")
+            .and_then(JsonValue::as_array)
+            .and_then(|f| f[0].get("message"))
+            .and_then(JsonValue::as_str);
+        assert_eq!(message, Some("quote \" and\nnewline"));
     }
 
     #[test]
@@ -466,15 +247,12 @@ mod tests {
         assert!(validate(&good.replace(SCHEMA, "other/v9")).is_err());
         assert!(validate(&good.replace("\"findings\": 1", "\"findings\": 2")).is_err());
         assert!(validate(&good.replace("\"line\": 3", "\"line\": -3")).is_err());
+        assert!(validate(&good.replace("\"line\": 3", "\"line\": 3.5")).is_err());
+        assert!(validate(&good.replace("\"used\": true", "\"used\": 1")).is_err());
+        assert!(validate(&good.replace("\"panic-path\": 1", "\"panic-path\": 2")).is_err());
         assert!(validate("{").is_err());
         assert!(validate("not json").is_err());
         assert!(validate(&format!("{good}x")).is_err());
-    }
-
-    #[test]
-    fn escapes_survive_the_parser() {
-        let v = parse_json("{\"a\": \"q\\\"\\n\\u0041\", \"b\": [1, 2.5, true, null]}")
-            .expect("parses");
-        assert_eq!(v.get("a"), Some(&Value::Str("q\"\nA".to_string())));
+        assert!(validate(&"[".repeat(100_000)).is_err());
     }
 }

@@ -1,27 +1,28 @@
-//! Scoping and orchestration: which files are scanned, which findings
-//! survive `#[cfg(test)]` scoping and inline waivers, and how a whole
-//! workspace run is assembled.
+//! Orchestration: which files are scanned, which findings survive inline
+//! waivers, and how a whole workspace run is assembled.
 //!
-//! A workspace run proceeds in three passes:
+//! A workspace run proceeds in two passes:
 //!
 //! 1. every file of every configured crate (including `src/bin/`) is
 //!    lexed, item-parsed, and its waivers extracted into a [`FileUnit`];
-//! 2. the token rules run per file (with `src/bin/` exempt unless a rule
-//!    sets `include-bins = true`);
-//! 3. the interprocedural analyses ([`crate::taint`], [`crate::locks`])
+//! 2. the interprocedural analyses ([`crate::taint`], [`crate::locks`])
 //!    run over the workspace call graph built by [`crate::resolve`].
 //!
-//! Waiver hygiene runs last so analysis waivers count as used.
+//! Waiver hygiene runs last so analysis waivers count as used. The
+//! per-token contracts (no `unwrap`, no float `==`, …) are clippy lints,
+//! not passes of this crate (DESIGN.md §12).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::config::Config;
-use crate::lexer::{lex, Lexed, TokKind};
+use crate::config::{Config, ANALYSES};
+use crate::lexer::{lex, Lexed};
 use crate::parser::{module_path, parse_file, ParsedFile};
 use crate::resolve::{build_graph, CallGraph, FileInput};
-use crate::rules::{run_all, ALL_RULES, WAIVER_RULE};
+
+/// Rule id used for waiver-hygiene findings (always enabled).
+pub const WAIVER_RULE: &str = "waiver";
 
 /// A finalized diagnostic, printable as `file:line:col: rule: message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,93 +47,6 @@ impl fmt::Display for Diagnostic {
             self.file, self.line, self.col, self.rule, self.message
         )
     }
-}
-
-/// Inclusive line ranges covered by `#[cfg(test)]` items.
-///
-/// Strategy: find an outer `#[cfg(...)]` attribute whose arguments mention
-/// `test`, then skip the attributed item — everything up to the first `;`
-/// at bracket depth zero, or the matching `}` of the first body brace.
-fn test_ranges(lexed: &Lexed) -> Vec<(u32, u32)> {
-    let toks = &lexed.toks;
-    let mut ranges = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].kind == TokKind::Punct && toks[i].text == "#")
-            || !toks.get(i + 1).is_some_and(|t| t.text == "[")
-        {
-            i += 1;
-            continue;
-        }
-        // Walk the attribute to its closing `]`, collecting idents.
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        let mut idents: Vec<&str> = Vec::new();
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "[" | "(" if toks[j].kind == TokKind::Punct => depth += 1,
-                "]" | ")" if toks[j].kind == TokKind::Punct => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {
-                    if toks[j].kind == TokKind::Ident {
-                        idents.push(&toks[j].text);
-                    }
-                }
-            }
-            j += 1;
-        }
-        let is_cfg_test = idents.first() == Some(&"cfg") && idents.iter().any(|s| *s == "test");
-        if !is_cfg_test {
-            i = j + 1;
-            continue;
-        }
-        // Skip the attributed item (further attributes ride along because
-        // their brackets are balanced).
-        let start_line = toks[i].line;
-        let mut k = j + 1;
-        let mut pdepth = 0usize;
-        let mut end_line = toks.get(j).map_or(start_line, |t| t.line);
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "(" | "[" if toks[k].kind == TokKind::Punct => pdepth += 1,
-                ")" | "]" if toks[k].kind == TokKind::Punct => pdepth = pdepth.saturating_sub(1),
-                ";" if pdepth == 0 && toks[k].kind == TokKind::Punct => {
-                    end_line = toks[k].line;
-                    break;
-                }
-                "{" if pdepth == 0 && toks[k].kind == TokKind::Punct => {
-                    let mut braces = 0usize;
-                    while k < toks.len() {
-                        if toks[k].kind == TokKind::Punct {
-                            match toks[k].text.as_str() {
-                                "{" => braces += 1,
-                                "}" => {
-                                    braces -= 1;
-                                    if braces == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        k += 1;
-                    }
-                    end_line = toks.get(k).map_or(end_line, |t| t.line);
-                    break;
-                }
-                _ => {}
-            }
-            end_line = toks[k].line;
-            k += 1;
-        }
-        ranges.push((start_line, end_line));
-        i = k + 1;
-    }
-    ranges
 }
 
 /// One parsed `// lint:allow(<rule>): <reason>` directive.
@@ -202,7 +116,6 @@ pub(crate) struct FileUnit {
     pub(crate) lexed: Lexed,
     /// Item-parser output.
     pub(crate) parsed: ParsedFile,
-    tests: Vec<(u32, u32)>,
     waivers: Vec<Waiver>,
 }
 
@@ -211,7 +124,6 @@ impl FileUnit {
         let lexed = lex(source);
         let module = module_path(krate, rel);
         let parsed = parse_file(&lexed, &module);
-        let tests = test_ranges(&lexed);
         let ws = waivers(&lexed);
         FileUnit {
             krate: krate.to_string(),
@@ -219,74 +131,22 @@ impl FileUnit {
             is_bin: rel.starts_with("bin/"),
             lexed,
             parsed,
-            tests,
             waivers: ws,
         }
     }
 
-    /// True when `line` falls inside a `#[cfg(test)]` item.
-    pub(crate) fn in_tests(&self, line: u32) -> bool {
-        self.tests.iter().any(|&(s, e)| s <= line && line <= e)
-    }
-
-    /// Consumes a reasoned waiver for exactly (`rule`, `line`), marking it
-    /// used. Returns true when one exists.
-    fn try_waive(&mut self, rule: &str, line: u32) -> bool {
-        if let Some(w) = self
-            .waivers
-            .iter_mut()
-            .find(|w| w.rule == rule && w.target == line && !w.reason.is_empty())
-        {
-            w.used = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// True when a reasoned waiver naming *any* of `rules` targets `line`.
-    /// Only waivers naming `rules[0]` — the calling analysis' own id — are
-    /// marked used; a token-rule waiver doing double duty is already
-    /// accounted for by its own rule pass.
-    pub(crate) fn waived_by_any(&mut self, rules: &[&str], line: u32) -> bool {
+    /// Consumes a reasoned waiver naming `rule` that targets `line`,
+    /// marking it used. Returns true when one exists.
+    pub(crate) fn waived(&mut self, rule: &str, line: u32) -> bool {
         let mut hit = false;
         for w in &mut self.waivers {
-            if w.target == line && !w.reason.is_empty() && rules.iter().any(|r| *r == w.rule) {
-                if Some(w.rule.as_str()) == rules.first().copied() {
-                    w.used = true;
-                }
+            if w.rule == rule && w.target == line && !w.reason.is_empty() {
+                w.used = true;
                 hit = true;
             }
         }
         hit
     }
-}
-
-/// Token-rule pass over one file.
-fn token_findings(unit: &mut FileUnit, cfg: &Config) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in run_all(&unit.lexed) {
-        if !cfg.rule_applies(f.rule, &unit.krate) {
-            continue;
-        }
-        if unit.is_bin && !cfg.rule_in_bins(f.rule) {
-            continue;
-        }
-        if unit.in_tests(f.line) && !cfg.rule_in_tests(f.rule) {
-            continue;
-        }
-        if unit.try_waive(f.rule, f.line) {
-            continue;
-        }
-        out.push(Diagnostic {
-            file: unit.label.clone(),
-            line: f.line,
-            col: f.col,
-            rule: f.rule.to_string(),
-            message: f.message,
-        });
-    }
-    out
 }
 
 /// Waiver hygiene: unknown rules, missing reasons, and waivers that
@@ -302,9 +162,7 @@ fn hygiene_findings(unit: &FileUnit, cfg: &Config) -> Vec<Diagnostic> {
             rule: WAIVER_RULE.to_string(),
             message,
         };
-        let active =
-            cfg.rule_applies(&w.rule, &unit.krate) || cfg.analysis_applies(&w.rule, &unit.krate);
-        if !ALL_RULES.contains(&w.rule.as_str()) {
+        if !ANALYSES.contains(&w.rule.as_str()) {
             out.push(diag(format!("waiver names unknown rule `{}`", w.rule)));
         } else if w.reason.is_empty() {
             out.push(diag(format!(
@@ -312,25 +170,13 @@ fn hygiene_findings(unit: &FileUnit, cfg: &Config) -> Vec<Diagnostic> {
                  `// lint:allow({}): <why this site is exempt>`",
                 w.rule, w.rule
             )));
-        } else if !w.used && active {
+        } else if !w.used && cfg.analysis_applies(&w.rule, &unit.krate) {
             out.push(diag(format!(
                 "waiver for `{}` suppresses nothing on line {} — remove it",
                 w.rule, w.target
             )));
         }
     }
-    out
-}
-
-/// Lints one file's source under the given policy. `krate` selects which
-/// rules apply; `file` is the label used in diagnostics. This single-file
-/// path runs the token rules only — the interprocedural analyses need the
-/// whole workspace and run in [`analyze_workspace`].
-pub fn lint_source(file: &str, krate: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
-    let mut unit = FileUnit::new(krate, file, file, source);
-    let mut out = token_findings(&mut unit, cfg);
-    out.extend(hygiene_findings(&unit, cfg));
-    out.sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
     out
 }
 
@@ -347,9 +193,9 @@ impl fmt::Display for ScanError {
 impl std::error::Error for ScanError {}
 
 /// Collects the `.rs` files of one crate's `src/` tree, including
-/// `src/bin/` (bin files are flagged so per-rule `include-bins` policy can
-/// exempt them). Integration tests, benches, and examples live outside
-/// `src/` and are never scanned.
+/// `src/bin/` (bin files are flagged so the call-graph resolver can keep
+/// their `main`s apart). Integration tests, benches, and examples live
+/// outside `src/` and are never scanned.
 fn crate_files(src_dir: &Path) -> Result<Vec<PathBuf>, ScanError> {
     let mut out = Vec::new();
     let mut stack = vec![src_dir.to_path_buf()];
@@ -434,8 +280,8 @@ pub struct WorkspaceRun {
     pub files_scanned: usize,
 }
 
-/// Scans every configured crate, runs the token rules and the
-/// interprocedural analyses, and returns the assembled [`WorkspaceRun`].
+/// Scans every configured crate, runs the interprocedural analyses, and
+/// returns the assembled [`WorkspaceRun`].
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<WorkspaceRun, ScanError> {
     let mut units: Vec<FileUnit> = Vec::new();
     for krate in &cfg.scan_crates {
@@ -463,13 +309,8 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<WorkspaceRun, Scan
         }
     }
 
-    // Pass 2: token rules.
+    // Pass 2: the interprocedural analyses over the workspace call graph.
     let mut diagnostics = Vec::new();
-    for unit in &mut units {
-        diagnostics.extend(token_findings(unit, cfg));
-    }
-
-    // Pass 3: the interprocedural analyses over the workspace call graph.
     let extern_map = extern_name_map(root)?;
     let inputs: Vec<FileInput<'_>> = units
         .iter()
@@ -523,81 +364,36 @@ mod tests {
     use super::*;
     use crate::config;
 
-    fn cfg_all() -> Config {
-        config::parse(
-            "[scan]\ncrates = [\"demo\"]\n\
-             [rules.no-unwrap]\ncrates = [\"*\"]\n\
-             [rules.no-unordered-iter]\ncrates = [\"*\"]\ninclude-tests = true\n",
-        )
-        .expect("test config parses")
-    }
-
     #[test]
-    fn cfg_test_modules_are_skipped_per_rule() {
-        let src = "\
-pub fn lib(x: Option<u32>) -> u32 { x.unwrap() }
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-    #[test]
-    fn t() { Some(1).unwrap(); }
-}
-";
-        let diags = lint_source("demo.rs", "demo", src, &cfg_all());
-        // no-unwrap skips the test module; no-unordered-iter (include-tests)
-        // still sees the HashMap import inside it.
-        assert_eq!(
-            diags
-                .iter()
-                .map(|d| (d.rule.as_str(), d.line))
-                .collect::<Vec<_>>(),
-            vec![("no-unwrap", 1), ("no-unordered-iter", 4)]
-        );
-    }
-
-    #[test]
-    fn waivers_suppress_and_hygiene_fires() {
-        let src = "\
-// lint:allow(no-unwrap): startup path, config verified above
-pub fn a(x: Option<u32>) -> u32 { x.unwrap() }
-pub fn b(x: Option<u32>) -> u32 { x.unwrap() } // lint:allow(no-unwrap): same
-// lint:allow(no-unwrap)
-pub fn c(x: Option<u32>) -> u32 { x.unwrap() }
-// lint:allow(not-a-rule): nonsense
-// lint:allow(no-unwrap): suppresses nothing here
-pub fn d() {}
-";
-        let diags = lint_source("demo.rs", "demo", src, &cfg_all());
-        let got: Vec<(&str, u32)> = diags.iter().map(|d| (d.rule.as_str(), d.line)).collect();
-        // line 5: unwrap whose waiver lacked a reason; line 4: the bad
-        // waiver itself; line 6: unknown rule; line 7: unused waiver.
-        assert_eq!(
-            got,
-            vec![
-                ("waiver", 4),
-                ("no-unwrap", 5),
-                ("waiver", 6),
-                ("waiver", 7)
-            ]
-        );
-    }
-
-    #[test]
-    fn bin_files_are_exempt_unless_included() {
+    fn waiver_hygiene_flags_malformed_unknown_and_idle_waivers() {
         let cfg = config::parse(
             "[scan]\ncrates = [\"demo\"]\n\
-             [rules.no-unwrap]\ncrates = [\"*\"]\n\
-             [rules.no-float-eq]\ncrates = [\"*\"]\ninclude-bins = true\n",
+             [analysis.panic-path]\nentry-points = [\"demo::a\"]\n",
         )
-        .expect("parses");
-        let src = "fn main() { let x: Option<u32> = None; x.unwrap(); let b = 1.0 == w; }";
-        let mut unit = FileUnit::new("demo", "crates/demo/src/bin/t.rs", "bin/t.rs", src);
-        assert!(unit.is_bin);
-        let rules: Vec<String> = token_findings(&mut unit, &cfg)
+        .expect("test config parses");
+        let src = "\
+// lint:allow(panic-path): startup path, config verified above
+pub fn a(x: Option<u32>) -> u32 { x.unwrap() }
+// lint:allow(panic-path)
+pub fn b(x: Option<u32>) -> u32 { x.unwrap() }
+// lint:allow(not-an-analysis): token rules are clippy lints now
+// lint:allow(panic-path): suppresses nothing here
+pub fn d() {}
+";
+        let mut unit = FileUnit::new("demo", "demo.rs", "lib.rs", src);
+        // A reasoned waiver targets the next code line; a reason-less one
+        // never suppresses.
+        assert!(unit.waived("panic-path", 2));
+        assert!(!unit.waived("panic-path", 4));
+        let got: Vec<(String, u32)> = hygiene_findings(&unit, &cfg)
             .into_iter()
-            .map(|d| d.rule)
+            .map(|d| (d.rule, d.line))
             .collect();
-        // no-unwrap stays exempt in bins; no-float-eq opted in.
-        assert_eq!(rules, vec!["no-float-eq"]);
+        // line 3: missing reason; line 5: unknown rule; line 6: unused.
+        let want: Vec<(String, u32)> = [3, 5, 6]
+            .into_iter()
+            .map(|l| (WAIVER_RULE.to_string(), l))
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -16,11 +16,10 @@
 //!   unwrap in a function no longer evades it. `assert!`/`debug_assert!`
 //!   stay allowed — they are the designated loud-invariant mechanism.
 //!
-//! A source site already covered by a reasoned waiver for the matching
-//! token rule (`no-unordered-iter`, `no-wallclock-in-kernel`,
-//! `no-unwrap`, `no-expect`, `no-panic`) is not re-reported: the human
-//! already vouched for the site. Fresh exemptions use the analysis' own
-//! rule id (`lint:allow(nondet-taint)` / `lint:allow(panic-path)`).
+//! A site is exempted only by a reasoned waiver naming the analysis itself
+//! (`lint:allow(nondet-taint)` / `lint:allow(panic-path)`); a clippy
+//! `#[expect]` on the same line does not silence it, because a token may
+//! be fine locally and still unacceptable on a solve path.
 
 use crate::config::Config;
 use crate::lexer::{Tok, TokKind};
@@ -33,8 +32,6 @@ struct Source {
     col: u32,
     /// What was found, e.g. "`HashMap` (iteration order varies run to run)".
     desc: String,
-    /// Token rules whose reasoned waivers also exempt this site.
-    token_rules: &'static [&'static str],
 }
 
 fn ident(t: &Tok, text: &str) -> bool {
@@ -58,7 +55,6 @@ fn nondet_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                     line: t.line,
                     col: t.col,
                     desc: format!("`{}` (iteration order varies run to run)", t.text),
-                    token_rules: &["no-unordered-iter"],
                 }),
                 "Instant"
                     if toks.get(i + 1).is_some_and(|n| punct(n, "::"))
@@ -68,7 +64,6 @@ fn nondet_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                         line: t.line,
                         col: t.col,
                         desc: "`Instant::now()` (wall-clock read)".to_string(),
-                        token_rules: &["no-wallclock-in-kernel"],
                     });
                     i += 2;
                 }
@@ -76,13 +71,11 @@ fn nondet_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                     line: t.line,
                     col: t.col,
                     desc: "`SystemTime` (wall-clock read)".to_string(),
-                    token_rules: &["no-wallclock-in-kernel"],
                 }),
                 "ThreadId" => out.push(Source {
                     line: t.line,
                     col: t.col,
                     desc: "`ThreadId` (scheduler-dependent value)".to_string(),
-                    token_rules: &[],
                 }),
                 "as_ptr" | "as_mut_ptr"
                     if toks.get(i + 1).is_some_and(|n| punct(n, "("))
@@ -100,7 +93,6 @@ fn nondet_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                         line: t.line,
                         col: t.col,
                         desc: "pointer-to-integer cast (address-dependent value)".to_string(),
-                        token_rules: &[],
                     });
                     i += 4;
                 }
@@ -128,13 +120,11 @@ fn panic_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                 line: t.line,
                 col: t.col,
                 desc: "`.unwrap()` may panic".to_string(),
-                token_rules: &["no-unwrap"],
             }),
             "expect" if method_call => out.push(Source {
                 line: t.line,
                 col: t.col,
                 desc: "`.expect(…)` may panic".to_string(),
-                token_rules: &["no-expect"],
             }),
             "panic" | "unreachable" | "todo" | "unimplemented"
                 if toks.get(i + 1).is_some_and(|n| punct(n, "!")) =>
@@ -143,7 +133,6 @@ fn panic_sources(toks: &[Tok], lo: usize, hi: usize) -> Vec<Source> {
                     line: t.line,
                     col: t.col,
                     desc: format!("`{}!` panics", t.text),
-                    token_rules: &["no-panic"],
                 });
             }
             _ => {}
@@ -195,9 +184,7 @@ fn reachability_findings(
         let (lo, hi) = node.body;
         let unit = &mut units[node.file];
         for src in collect(&unit.lexed.toks, lo, hi) {
-            let mut rules = vec![rule];
-            rules.extend_from_slice(src.token_rules);
-            if unit.waived_by_any(&rules, src.line) {
+            if unit.waived(rule, src.line) {
                 continue;
             }
             let chain = graph.chain(&parents, idx).join(" -> ");

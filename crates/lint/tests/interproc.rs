@@ -3,13 +3,15 @@
 //! class — a cross-crate nondeterminism leak, a helper-hidden unwrap, and
 //! a two-mutex ABBA deadlock — and the assertions pin the exact
 //! `file:line:col` each analysis reports. A property test drives the item
-//! parser with arbitrary token soup to prove it is total.
+//! parser with arbitrary token soup to prove it is total, and the
+//! committed `lint.toml` policy is replayed over the real workspace
+//! (which must be clean).
 
 use std::path::{Path, PathBuf};
 
-use complx_lint::parse_config;
 use complx_lint::parser::{module_path, parse_file};
 use complx_lint::scan::analyze_workspace;
+use complx_lint::{lint_workspace, parse_config};
 use proptest::prelude::*;
 
 fn fixture_root() -> PathBuf {
@@ -164,6 +166,25 @@ fn reasoned_analysis_waivers_silence_the_findings_and_read_as_used() {
         run.waivers
     );
     let _ = std::fs::remove_dir_all(&dst_root);
+}
+
+#[test]
+fn workspace_is_clean_under_the_committed_policy() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root exists")
+        .to_path_buf();
+    let policy =
+        std::fs::read_to_string(root.join("lint.toml")).expect("committed lint.toml readable");
+    let cfg = parse_config(&policy).expect("committed policy parses");
+    let diags = lint_workspace(&root, &cfg).expect("workspace scan succeeds");
+    let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
+    assert!(
+        diags.is_empty(),
+        "workspace must lint clean:\n{}",
+        rendered.join("\n")
+    );
 }
 
 /// Fragments that exercise every parser path: item keywords, nesting,

@@ -1,6 +1,18 @@
 //! Reader and writer for the Bookshelf placement format used by the ISPD
 //! 2005/2006 contests (`.aux`, `.nodes`, `.nets`, `.pl`, `.scl`, `.wts`).
 //!
+//! One member is this workspace's own: a constrained design also carries a
+//! `.regions` file (paper §S5), one constraint per line,
+//!
+//! ```text
+//! Region <name> <lx> <ly> <hx> <hy> : <node> <node> ...
+//! Alignment <name> horizontal|vertical : <node> <node> ...
+//! ```
+//!
+//! so region and alignment constraints survive a round trip and a solution
+//! bundle can be checked against them. Unconstrained designs are written
+//! without it.
+//!
 //! The reader accepts real contest files, so the benchmark harness can be
 //! pointed at the original ISPD suites when they are available; the synthetic
 //! generator produces the same format. Pin offsets in `.nets` are measured
@@ -19,6 +31,7 @@ use crate::design::{Design, DesignBuilder};
 use crate::error::BookshelfError;
 use crate::geom::{Point, Rect};
 use crate::placement::Placement;
+use crate::region::{AlignmentAxis, AlignmentConstraint, RegionConstraint};
 
 /// A parsed Bookshelf bundle: the design plus the `.pl` placement (useful
 /// when reading a solution file).
@@ -67,6 +80,7 @@ pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<BookshelfBundle, Bookshelf
     let mut pl_file = None;
     let mut scl_file = None;
     let mut wts_file = None;
+    let mut regions_file = None;
     for line in aux_text.lines() {
         let Some((_, files)) = line.split_once(':') else {
             continue;
@@ -79,6 +93,7 @@ pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<BookshelfBundle, Bookshelf
                 Some("pl") => pl_file = Some(p),
                 Some("scl") => scl_file = Some(p),
                 Some("wts") => wts_file = Some(p),
+                Some("regions") => regions_file = Some(p),
                 _ => {}
             }
         }
@@ -101,6 +116,7 @@ pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<BookshelfBundle, Bookshelf
         &pl_file,
         &scl_file,
         wts_file.as_deref(),
+        regions_file.as_deref(),
     )
 }
 
@@ -119,6 +135,7 @@ fn read_components(
     pl_file: &Path,
     scl_file: &Path,
     wts_file: Option<&Path>,
+    regions_file: Option<&Path>,
 ) -> Result<BookshelfBundle, BookshelfError> {
     // --- .scl: rows → core rect + row height -----------------------------
     let scl_text = fs::read_to_string(scl_file)?;
@@ -292,6 +309,47 @@ fn read_components(
     }
     finish(&mut builder, current.take())?;
 
+    // --- .regions (optional region and alignment constraints) -----------
+    if let Some(rf) = regions_file {
+        let text = fs::read_to_string(rf)?;
+        for (ln, line) in content_lines(&text) {
+            let (head, members) = line
+                .split_once(':')
+                .ok_or_else(|| parse_err(rf, ln, "expected `<constraint> : <nodes>`"))?;
+            let cells = members
+                .split_whitespace()
+                .map(|n| {
+                    ids.get(n)
+                        .copied()
+                        .ok_or_else(|| parse_err(rf, ln, format!("unknown node `{n}`")))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            match head.split_whitespace().collect::<Vec<_>>().as_slice() {
+                ["Region", name, coords @ ..] if coords.len() == 4 => {
+                    let c = coords
+                        .iter()
+                        .map(|v| v.parse::<f64>())
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(|_| parse_err(rf, ln, "bad region coordinate"))?;
+                    if !(c.iter().all(|v| v.is_finite()) && c[0] <= c[2] && c[1] <= c[3]) {
+                        return Err(parse_err(rf, ln, "degenerate region rectangle"));
+                    }
+                    let rect = Rect::new(c[0], c[1], c[2], c[3]);
+                    builder.add_region(RegionConstraint::new(*name, rect, cells));
+                }
+                ["Alignment", name, axis] => {
+                    let axis = match *axis {
+                        "horizontal" => AlignmentAxis::Horizontal,
+                        "vertical" => AlignmentAxis::Vertical,
+                        _ => return Err(parse_err(rf, ln, "bad alignment axis")),
+                    };
+                    builder.add_alignment(AlignmentConstraint::new(*name, axis, cells));
+                }
+                _ => return Err(parse_err(rf, ln, "expected a Region or Alignment line")),
+            }
+        }
+    }
+
     let design = builder.build()?;
 
     // Placement from .pl (centers).
@@ -392,7 +450,8 @@ fn parse_scl(text: &str, file: &Path) -> Result<(Rect, f64), BookshelfError> {
 }
 
 /// Writes a design and placement as a Bookshelf bundle
-/// `<dir>/<name>.{aux,nodes,nets,pl,scl,wts}`.
+/// `<dir>/<name>.{aux,nodes,nets,pl,scl,wts}`, plus `<name>.regions` when
+/// the design has region or alignment constraints.
 ///
 /// # Errors
 ///
@@ -411,13 +470,6 @@ pub fn write_bundle(
     // tmp+rename so an interrupted export never leaves a torn bundle
     // member behind (a half-written .nodes file parses as a valid but
     // wrong design — worse than no file at all).
-
-    // .aux
-    let mut aux: Vec<u8> = Vec::new();
-    writeln!(
-        aux,
-        "RowBasedPlacement : {name}.nodes {name}.nets {name}.wts {name}.pl {name}.scl"
-    )?;
 
     // .nodes
     let mut nodes: Vec<u8> = Vec::new();
@@ -462,9 +514,12 @@ pub fn write_bundle(
     writeln!(wts, "UCLA wts 1.0")?;
     for nid in design.net_ids() {
         let n = design.net(nid);
-        // lint:allow(no-float-eq): 1.0 is the exact default weight; only
-        // explicitly weighted nets belong in the .wts file.
-        if n.weight() != 1.0 {
+        #[expect(
+            clippy::float_cmp,
+            reason = "1.0 is the exact default weight; only explicitly weighted nets belong in the .wts file"
+        )]
+        let weighted = n.weight() != 1.0;
+        if weighted {
             writeln!(wts, "{} {}", n.name(), n.weight())?;
         }
     }
@@ -509,16 +564,51 @@ pub fn write_bundle(
         writeln!(scl, "End")?;
     }
 
-    for (ext, bytes) in [
-        ("nodes", &nodes),
-        ("nets", &nets),
-        ("wts", &wts),
-        ("pl", &pl),
-        ("scl", &scl),
-        // .aux last: it names the other five, so its appearance signals a
-        // complete bundle.
-        ("aux", &aux),
-    ] {
+    let mut members = vec![
+        ("nodes", nodes),
+        ("nets", nets),
+        ("wts", wts),
+        ("pl", pl),
+        ("scl", scl),
+    ];
+
+    // .regions (constrained designs only)
+    if !design.regions().is_empty() || !design.alignments().is_empty() {
+        let mut regions: Vec<u8> = Vec::new();
+        writeln!(regions, "UCLA regions 1.0")?;
+        let names = |cells: &[CellId]| -> String {
+            cells
+                .iter()
+                .map(|&id| format!(" {}", design.cell(id).name()))
+                .collect()
+        };
+        for r in design.regions() {
+            let b = r.rect();
+            let (lx, ly, hx, hy) = (b.lx, b.ly, b.hx, b.hy);
+            let cells = names(r.cells());
+            writeln!(regions, "Region {} {lx} {ly} {hx} {hy} :{cells}", r.name())?;
+        }
+        for a in design.alignments() {
+            let axis = match a.axis() {
+                AlignmentAxis::Horizontal => "horizontal",
+                AlignmentAxis::Vertical => "vertical",
+            };
+            let cells = names(a.cells());
+            writeln!(regions, "Alignment {} {axis} :{cells}", a.name())?;
+        }
+        members.push(("regions", regions));
+    }
+
+    // .aux last: it names the other members, so its appearance signals a
+    // complete bundle.
+    let listed: String = members
+        .iter()
+        .map(|(ext, _)| format!(" {name}.{ext}"))
+        .collect();
+    let mut aux: Vec<u8> = Vec::new();
+    writeln!(aux, "RowBasedPlacement :{listed}")?;
+    members.push(("aux", aux));
+    for (ext, bytes) in &members {
         complx_obs::atomicio::write_atomic(&base(ext), bytes)?;
     }
 
@@ -552,6 +642,65 @@ mod tests {
         let b = hpwl(&bundle.design, &bundle.placement);
         assert!((a - b).abs() < 1e-6 * a.max(1.0), "hpwl {a} vs {b}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn region_and_alignment_constraints_round_trip() {
+        let base = GeneratorConfig::small("rg", 5).generate();
+        let cells = base.movable_cells();
+        let core = base.core();
+        let mut b = DesignBuilder::from_design(&base);
+        b.add_region(RegionConstraint::new(
+            "r0",
+            Rect::new(
+                core.lx + 0.5,
+                core.ly,
+                core.center().x,
+                core.center().y + 0.25,
+            ),
+            cells[..3].to_vec(),
+        ));
+        b.add_alignment(AlignmentConstraint::new(
+            "a0",
+            AlignmentAxis::Horizontal,
+            cells[3..6].to_vec(),
+        ));
+        let design = b.build().unwrap();
+        let dir = tmp_dir("regions");
+        let aux = write_bundle(&design, &design.initial_placement(), &dir).unwrap();
+        let back = read_aux(&aux).unwrap().design;
+        assert_eq!(back.regions(), design.regions());
+        assert_eq!(back.alignments(), design.alignments());
+        // An unconstrained design keeps the contest's five members.
+        let plain = tmp_dir("no_regions");
+        write_bundle(&base, &base.initial_placement(), &plain).unwrap();
+        assert!(!plain.join("rg.regions").exists());
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&plain);
+    }
+
+    #[test]
+    fn malformed_regions_file_is_a_parse_error() {
+        let base = GeneratorConfig::small("rb", 5).generate();
+        let dir = tmp_dir("bad_regions");
+        let aux = write_bundle(&base, &base.initial_placement(), &dir).unwrap();
+        let listed = fs::read_to_string(&aux).unwrap();
+        fs::write(&aux, format!("{} rb.regions\n", listed.trim_end())).unwrap();
+        for bad in [
+            "Region r 0 0 1 : nosuchnode",
+            "Region r 5 0 1 1 :",
+            "Region r 0 0 1 :",
+            "Alignment a diagonal :",
+            "Fence f :",
+            "Region r 0 0 1 1",
+        ] {
+            fs::write(dir.join("rb.regions"), bad).unwrap();
+            assert!(
+                matches!(read_aux(&aux), Err(BookshelfError::Parse { .. })),
+                "accepted {bad:?}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -702,7 +702,7 @@ mod tests {
         let (dd, ed) = (root.join("d"), root.join("e"));
         crate::bookshelf::write_bundle(&d, &d.initial_placement(), &dd).unwrap();
         crate::bookshelf::write_bundle(&e, &e.initial_placement(), &ed).unwrap();
-        for ext in ["aux", "nodes", "nets", "wts", "pl", "scl"] {
+        for ext in ["aux", "nodes", "nets", "wts", "pl", "scl", "regions"] {
             let file = format!("{}.{ext}", d.name());
             let a = std::fs::read(dd.join(&file)).unwrap();
             let b = std::fs::read(ed.join(&file)).unwrap();

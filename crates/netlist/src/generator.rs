@@ -171,8 +171,11 @@ impl GeneratorConfig {
         let core = Rect::new(0.0, 0.0, core_w, core_h);
 
         let mut b = DesignBuilder::new(self.name.clone(), core, rh);
+        #[expect(
+            clippy::expect_used,
+            reason = "density was range-checked a few lines up"
+        )]
         b.set_target_density(self.target_density)
-            // lint:allow(no-expect): density was range-checked a few lines up
             .expect("validated above");
 
         // --- fixed macro obstacles (rejection-sampled, non-overlapping) ------
@@ -188,8 +191,8 @@ impl GeneratorConfig {
                 let cx = rng.random_range(core.lx + w / 2.0..core.hx - w / 2.0);
                 let cy = rng.random_range(core.ly + h / 2.0..core.hy - h / 2.0);
                 let r = Rect::new(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0);
-                // lint:allow(no-float-eq): overlap_area returns exactly 0.0
-                // for disjoint rectangles; any positive value is an overlap.
+                // overlap_area returns exactly 0.0 for disjoint rectangles;
+                // any positive value is an overlap.
                 if obstacles.iter().all(|o| o.overlap_area(&r) == 0.0) {
                     placed = Some((cx, cy, r));
                     break;
@@ -197,9 +200,12 @@ impl GeneratorConfig {
             }
             if let Some((cx, cy, r)) = placed {
                 obstacles.push(r);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "generator-assigned name is unique, dims sampled positive"
+                )]
                 let id = b
                     .add_fixed_cell(format!("fm{i}"), w, h, CellKind::Fixed, Point::new(cx, cy))
-                    // lint:allow(no-expect): generator-assigned name is unique, dims sampled positive
                     .expect("unique name, positive dims");
                 fixed_ids.push(id);
             }
@@ -221,6 +227,10 @@ impl GeneratorConfig {
             } else {
                 (core.lx, core.hy - (s - 2.0 * core.width() - core.height()))
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "generator-assigned name is unique, dims are 1x1"
+            )]
             let id = b
                 .add_fixed_cell(
                     format!("pad{i}"),
@@ -229,7 +239,6 @@ impl GeneratorConfig {
                     CellKind::Terminal,
                     Point::new(x, y),
                 )
-                // lint:allow(no-expect): generator-assigned name is unique, dims are 1x1
                 .expect("unique name, positive dims");
             pad_ids.push(id);
         }
@@ -253,7 +262,10 @@ impl GeneratorConfig {
             } else {
                 format!("mm{}", i - self.num_std_cells)
             };
-            // lint:allow(no-expect): generator-assigned name is unique, dims sampled positive
+            #[expect(
+                clippy::expect_used,
+                reason = "generator-assigned name is unique, dims sampled positive"
+            )]
             let id = b.add_cell(name, w, h, kind).expect("unique, positive");
             movable_ids.push(id);
             let col = i % cols;
@@ -317,8 +329,11 @@ impl GeneratorConfig {
                         connected[*k] = true;
                     }
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "net name is unique and >=2 pins reference live cells"
+                )]
                 b.add_net(format!("n{ni}"), 1.0, pins)
-                    // lint:allow(no-expect): net name is unique and >=2 pins reference live cells
                     .expect("valid net construction");
             }
         }
@@ -335,12 +350,15 @@ impl GeneratorConfig {
                 i.wrapping_sub(1)
             };
             if n_mov > 1 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "net name is unique and both pins reference live cells"
+                )]
                 b.add_net(
                     format!("nc{i}"),
                     1.0,
                     vec![(movable_ids[i], 0.0, 0.0), (movable_ids[j], 0.0, 0.0)],
                 )
-                // lint:allow(no-expect): net name is unique and both pins reference live cells
                 .expect("valid net construction");
                 connected[i] = true;
                 connected[j] = true;
@@ -353,16 +371,22 @@ impl GeneratorConfig {
                 break;
             }
             let target = movable_ids[(i * 7919) % n_mov];
+            #[expect(
+                clippy::expect_used,
+                reason = "net name is unique and both pins reference live cells"
+            )]
             b.add_net(
                 format!("nf{i}"),
                 1.0,
                 vec![(fid, 0.0, 0.0), (target, 0.0, 0.0)],
             )
-            // lint:allow(no-expect): net name is unique and both pins reference live cells
             .expect("valid net construction");
         }
 
-        // lint:allow(no-expect): every element above was built with generator-controlled inputs
+        #[expect(
+            clippy::expect_used,
+            reason = "every element above was built with generator-controlled inputs"
+        )]
         let design = b.build().expect("generator produces valid designs");
         let _ = homes; // homes only shape net selection; placement is the placer's job
         design

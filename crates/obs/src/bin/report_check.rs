@@ -19,6 +19,8 @@
 //! timeline bucket of a λ-loop iteration must agree with the report's
 //! `iterations` row for that iteration on `bins` and `lambda`.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::process::ExitCode;
 
 use complx_obs::{parse, JsonValue, RunReport};

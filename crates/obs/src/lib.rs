@@ -1,4 +1,5 @@
-//! Zero-dependency observability layer for the ComPLx placer.
+//! Observability layer for the ComPLx placer (no dependencies outside the
+//! workspace).
 //!
 //! Three pieces:
 //!
@@ -14,8 +15,8 @@
 //!    aggregator that always runs and is read back via [`harvest`].
 //! 3. An end-of-run **[`RunReport`]** manifest (schema
 //!    [`REPORT_SCHEMA`]) combining a [`Harvest`] with caller-supplied
-//!    design/config/metrics sections, serialized with the in-crate
-//!    [`json`] module and rendered as a phase-time table by
+//!    design/config/metrics sections, serialized with the workspace's one
+//!    JSON codec ([`json`], re-exported from `complx-json`) and rendered as a phase-time table by
 //!    [`RunReport::summary_table`].
 //! 4. A deep-profiling layer ([`prof`]): an opt-in tracking global
 //!    allocator that charges allocations to span paths, a per-iteration
@@ -24,14 +25,27 @@
 
 // `deny` rather than `forbid`: the [`prof`] module's global-allocator
 // wrapper is the single sanctioned `unsafe` surface (each block carries a
-// SAFETY comment enforced by complx-lint); everything else stays safe.
+// SAFETY comment, enforced by clippy's `undocumented_unsafe_blocks`);
+// everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
 pub mod atomicio;
 pub mod collector;
 pub mod hist;
-pub mod json;
 pub mod jsonl;
 pub mod logger;
 pub mod prof;
@@ -43,6 +57,7 @@ pub use collector::{
     add, carrier, enabled, event, harvest, install, observe, span, Carrier, CarrierGuard, Harvest,
     SpanGuard,
 };
+pub use complx_json as json;
 pub use hist::{Histogram, HistogramSummary};
 pub use json::{parse, JsonValue, ParseError};
 pub use jsonl::JsonlSink;

@@ -26,6 +26,8 @@
 //! set at once. All metrics are recomputed by `complx-oracle`, which shares
 //! no code with the solver crates — see DESIGN.md §13.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -22,6 +22,7 @@
 
 use complx_netlist::{Design, Placement};
 
+use crate::constraints::{alignment_spread, region_breach};
 use crate::overlap::{audit_with_tol, PlacementAudit};
 use crate::trace::TraceRecord;
 
@@ -235,8 +236,10 @@ pub fn check_trace(records: &[TraceRecord], checks: &TraceChecks) -> Vec<Violati
     out
 }
 
-/// Audits a solution placement and converts out-of-tolerance findings into
-/// violations. Returns the audit alongside so callers can print a summary.
+/// Audits a solution placement — legality plus the design's region and
+/// alignment constraints — and converts out-of-tolerance findings into
+/// violations. Returns the legality audit alongside so callers can print a
+/// summary.
 pub fn check_solution(
     design: &Design,
     placement: &Placement,
@@ -279,6 +282,37 @@ pub fn check_solution(
                 audit.off_row_cells, audit.max_row_misalign, tol
             ),
         ));
+    }
+    for region in design.regions() {
+        let breaches: Vec<f64> = region
+            .cells()
+            .iter()
+            .map(|&id| region_breach(design, placement, id, region.rect()))
+            .filter(|&b| b > tol)
+            .collect();
+        if let Some(worst) = breaches.iter().copied().reduce(f64::max) {
+            out.push(Violation::new(
+                "solution-region",
+                format!(
+                    "{} cells stick out of region `{}`, worst by {worst} length units (tol {tol})",
+                    breaches.len(),
+                    region.name()
+                ),
+            ));
+        }
+    }
+    for a in design.alignments() {
+        let spread = alignment_spread(placement, a);
+        if spread > tol {
+            out.push(Violation::new(
+                "solution-alignment",
+                format!(
+                    "cells of alignment `{}` spread {spread} length units along their \
+                     shared coordinate (tol {tol})",
+                    a.name()
+                ),
+            ));
+        }
     }
     (audit, out)
 }

@@ -17,6 +17,8 @@
 //!   disjoint from `legalize::verify`'s bucket grid.
 //! * [`density`] — first-principles bin overflow and ISPD-2006 scaled
 //!   HPWL.
+//! * [`constraints`] — region and alignment audit (paper §S5), disjoint
+//!   from `spread::regions`' snapping predicates.
 //! * [`trace`] / [`invariants`] — convergence-trace parsing and checks of
 //!   the paper's Formulas 4, 8 and 12 plus the Π trend and anchor-weight
 //!   formula.
@@ -28,7 +30,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
+pub mod constraints;
 pub mod density;
 pub mod golden;
 pub mod hpwl;
@@ -37,6 +53,7 @@ pub mod kahan;
 pub mod overlap;
 pub mod trace;
 
+pub use constraints::{alignment_spread, region_breach};
 pub use density::{density_audit, overflow_percent, scaled_hpwl, DensityAudit, METRIC_BINS};
 pub use golden::{GoldenSnapshot, GoldenTolerances};
 pub use hpwl::{hpwl, net_span, weighted_hpwl};

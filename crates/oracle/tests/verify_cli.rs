@@ -6,7 +6,10 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use complx_netlist::{bookshelf, generator::GeneratorConfig, Point};
+use complx_netlist::{
+    bookshelf, generator::GeneratorConfig, AlignmentAxis, AlignmentConstraint, CellKind,
+    DesignBuilder, Point, Rect, RegionConstraint,
+};
 use complx_place::{run_report, ComplxPlacer, PlacerConfig};
 
 fn verify_bin() -> &'static str {
@@ -263,6 +266,75 @@ fn malformed_trace_header_exit_2() {
     let res = run(&["--trace", path.to_str().unwrap()]);
     assert_eq!(res.code, 2);
     assert!(res.stderr.contains("header"), "{}", res.stderr);
+}
+
+#[test]
+fn deeply_nested_json_is_an_input_error_not_a_crash() {
+    let dir = scratch("deep");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let res = run(&["--trace", path.to_str().unwrap()]);
+    assert_eq!(res.code, 2, "stderr: {}", res.stderr);
+    assert!(res.stderr.contains("nesting"), "{}", res.stderr);
+}
+
+/// A hand-made solution: four 1×1 cells on distinct sites of a 20×4 core,
+/// legal everywhere, but with the region cell outside its region and the
+/// two aligned cells on different rows.
+#[test]
+fn region_and_alignment_violations_rejected() {
+    let dir = scratch("constraints");
+    let mut b = DesignBuilder::new("rc", Rect::new(0.0, 0.0, 20.0, 4.0), 1.0);
+    let cells: Vec<_> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| b.add_cell(*n, 1.0, 1.0, CellKind::Movable).unwrap())
+        .collect();
+    b.add_net("n0", 1.0, vec![(cells[0], 0.0, 0.0), (cells[1], 0.0, 0.0)])
+        .unwrap();
+    b.add_net("n1", 1.0, vec![(cells[2], 0.0, 0.0), (cells[3], 0.0, 0.0)])
+        .unwrap();
+    b.add_region(RegionConstraint::new(
+        "left",
+        Rect::new(0.0, 0.0, 5.0, 4.0),
+        vec![cells[0]],
+    ));
+    b.add_alignment(AlignmentConstraint::new(
+        "row",
+        AlignmentAxis::Horizontal,
+        vec![cells[2], cells[3]],
+    ));
+    let design = b.build().unwrap();
+    let aux =
+        bookshelf::write_bundle(&design, &design.initial_placement(), dir.join("design")).unwrap();
+    let solve = |a_x: f64, d_y: f64, tag: &str| {
+        let mut p = design.initial_placement();
+        for (id, (x, y)) in cells
+            .iter()
+            .zip([(a_x, 0.5), (1.5, 0.5), (3.5, 1.5), (8.5, d_y)])
+        {
+            p.set_position(*id, Point::new(x, y));
+        }
+        let sol = bookshelf::write_bundle(&design, &p, dir.join(tag)).unwrap();
+        run(&[aux.to_str().unwrap(), "--solution", sol.to_str().unwrap()])
+    };
+
+    let res = solve(10.5, 2.5, "bad");
+    assert_eq!(res.code, 1, "{}", res.stdout);
+    assert!(
+        res.stdout.contains("violation[solution-region]"),
+        "{}",
+        res.stdout
+    );
+    assert!(
+        res.stdout.contains("violation[solution-alignment]"),
+        "{}",
+        res.stdout
+    );
+    assert!(!res.stdout.contains("solution-overlap"), "{}", res.stdout);
+
+    let res = solve(4.5, 1.5, "good");
+    assert_eq!(res.code, 0, "{}", res.stdout);
+    assert!(res.stdout.contains("0 violations"), "{}", res.stdout);
 }
 
 /// The full pipeline: place a small design, write the solution bundle,

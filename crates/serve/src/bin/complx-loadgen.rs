@@ -24,6 +24,8 @@
 //! `--fetch-dir` downloads job 1's result frame and unpacks it for
 //! byte-identity comparison against a direct CLI run of the same bundle.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::path::{Path, PathBuf};

@@ -9,6 +9,8 @@
 //! scripts rendezvous with an ephemeral port), and serves until a client
 //! POSTs `/shutdown` or the process receives SIGTERM the hard way.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 use std::process::ExitCode;
 
 use complx_serve::{ServeConfig, Server};

@@ -190,7 +190,7 @@ impl CgSolver {
         };
 
         let b_norm = norm2(b);
-        // lint:allow(no-float-eq): an exactly-zero right-hand side has the
+        // An exactly-zero right-hand side has the
         // exactly-zero solution; near-zero norms must still run the solver.
         if b_norm == 0.0 {
             x.fill(0.0);

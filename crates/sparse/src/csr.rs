@@ -298,7 +298,7 @@ fn merge_row_range(start: &[usize], raw: &mut [(u32, f64)], kept: &mut [usize], 
                 v += row[j].1;
                 j += 1;
             }
-            // lint:allow(no-float-eq): drops entries that sum to exact
+            // Drops entries that sum to exact
             // zero (e.g. +a + -a); small values must be kept.
             if v != 0.0 {
                 row[w] = (c, v);

@@ -69,7 +69,7 @@ impl TripletMatrix {
     /// Panics if `row` or `col` is out of bounds.
     pub fn add(&mut self, row: usize, col: usize, value: f64) -> bool {
         assert!(row < self.n && col < self.n, "triplet index out of bounds");
-        // lint:allow(no-float-eq): skips explicit structural zeros only;
+        // Skips explicit structural zeros only;
         // small nonzero values must be stored.
         if value == 0.0 {
             return false;

@@ -32,8 +32,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::float_cmp,
+        clippy::float_cmp_const
+    )
+)]
 
-use complx_netlist::{CellId, Design, DesignBuilder, NetId, Placement};
+use complx_netlist::{CellId, Design, DesignBuilder, DesignError, NetId, Placement};
 
 /// Delay model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,7 +253,7 @@ impl TimingGraph {
                 {
                     path.push(CellId::from_index(prev));
                     cur = prev;
-                    // lint:allow(no-float-eq): arrivals start at exactly 0.0
+                    // Arrivals start at exactly 0.0
                     // and only grow by positive delays; exact zero identifies
                     // a path source.
                     if report.arrival[cur] == 0.0 {
@@ -318,27 +331,31 @@ pub fn net_criticality(design: &Design, report: &TimingReport) -> Vec<f64> {
 /// Rebuilds `design` with the listed nets' weights replaced. Everything
 /// else — cells, regions, alignments, γ — carries over through
 /// [`DesignBuilder::from_design`], and cell and net ids are preserved.
-fn with_weights(design: &Design, weights: impl IntoIterator<Item = (NetId, f64)>) -> Design {
+fn with_weights(
+    design: &Design,
+    weights: impl IntoIterator<Item = (NetId, f64)>,
+) -> Result<Design, DesignError> {
     let mut b = DesignBuilder::from_design(design);
-    let rebuilt = weights
+    weights
         .into_iter()
-        .try_for_each(|(nid, w)| b.set_net_weight(nid, w))
-        .and_then(|()| b.build());
-    // lint:allow(no-expect): callers check their factors up front, so only a
-    // weight × factor product that overflows to ∞ or underflows to 0 fails.
-    rebuilt.expect("a scaled net weight must stay positive and finite")
+        .try_for_each(|(nid, w)| b.set_net_weight(nid, w))?;
+    b.build()
 }
 
 /// Rebuilds the design with per-net weight multipliers (indexed by net id).
 /// This is the slack-based net-weighting of timing-driven placement
 /// (paper Section 5, citing Chan, Cong & Radke's convergent schemes).
 ///
+/// # Errors
+///
+/// Returns the [`DesignError`] of a scaled weight that overflows to ∞ or
+/// underflows to 0.
+///
 /// # Panics
 ///
 /// Panics if `factors` has the wrong length or contains a factor that is
-/// not positive and finite, or if a scaled weight overflows to ∞ or
-/// underflows to 0.
-pub fn scale_net_weights(design: &Design, factors: &[f64]) -> Design {
+/// not positive and finite.
+pub fn scale_net_weights(design: &Design, factors: &[f64]) -> Result<Design, DesignError> {
     assert_eq!(factors.len(), design.num_nets(), "one factor per net");
     assert!(
         factors.iter().all(|&f| f > 0.0 && f.is_finite()),
@@ -358,11 +375,15 @@ pub fn scale_net_weights(design: &Design, factors: &[f64]) -> Design {
 /// sharing everything else. A net listed twice is scaled once; ids that are
 /// not nets of `design` are ignored.
 ///
+/// # Errors
+///
+/// Returns the [`DesignError`] of a scaled weight that overflows to ∞ or
+/// underflows to 0.
+///
 /// # Panics
 ///
-/// Panics if `factor` is not positive and finite, or if a scaled weight
-/// overflows to ∞ or underflows to 0.
-pub fn reweight_nets(design: &Design, nets: &[NetId], factor: f64) -> Design {
+/// Panics if `factor` is not positive and finite.
+pub fn reweight_nets(design: &Design, nets: &[NetId], factor: f64) -> Result<Design, DesignError> {
     assert!(
         factor > 0.0 && factor.is_finite(),
         "weight factor must be positive and finite"
@@ -492,7 +513,7 @@ mod tests {
     fn reweight_scales_only_selected_nets() {
         let d = GeneratorConfig::small("rw", 3).generate();
         let target = d.net_ids().next().unwrap();
-        let d2 = reweight_nets(&d, &[target], 10.0);
+        let d2 = reweight_nets(&d, &[target], 10.0).unwrap();
         assert_eq!(d2.net(target).weight(), d.net(target).weight() * 10.0);
         let other = d.net_ids().nth(1).unwrap();
         assert_eq!(d2.net(other).weight(), d.net(other).weight());
@@ -519,8 +540,8 @@ mod tests {
         let first = d.net_ids().next().unwrap();
         let factors = vec![2.0; d.num_nets()];
         for derived in [
-            reweight_nets(&d, &[first], 3.0),
-            scale_net_weights(&d, &factors),
+            reweight_nets(&d, &[first], 3.0).unwrap(),
+            scale_net_weights(&d, &factors).unwrap(),
         ] {
             assert_eq!(derived.regions(), d.regions());
             assert_eq!(derived.alignments(), d.alignments());
@@ -534,6 +555,22 @@ mod tests {
         let d = GeneratorConfig::small("rn", 3).generate();
         let first = d.net_ids().next().unwrap();
         let _ = reweight_nets(&d, &[first], f64::NAN);
+    }
+
+    #[test]
+    fn overflowing_weight_is_an_error_not_a_panic() {
+        let mut b = DesignBuilder::new("big", Rect::new(0.0, 0.0, 10.0, 10.0), 1.0);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("b", 1.0, 1.0, CellKind::Movable).unwrap();
+        b.add_net("n0", 1e308, vec![(a, 0.0, 0.0), (c, 0.0, 0.0)])
+            .unwrap();
+        let d = b.build().unwrap();
+        let n0 = d.net_ids().next().unwrap();
+        assert!(matches!(
+            reweight_nets(&d, &[n0], 20.0),
+            Err(DesignError::InvalidWeight { .. })
+        ));
+        assert!(scale_net_weights(&d, &[20.0]).is_err());
     }
 
     #[test]

@@ -132,7 +132,7 @@ proptest! {
     ) {
         let (d, _) = layered_design(layers, 4, &edges);
         let some_nets: Vec<_> = d.net_ids().step_by(2).collect();
-        let d2 = reweight_nets(&d, &some_nets, factor);
+        let d2 = reweight_nets(&d, &some_nets, factor).unwrap();
         prop_assert_eq!(d2.num_cells(), d.num_cells());
         prop_assert_eq!(d2.num_nets(), d.num_nets());
         prop_assert_eq!(d2.num_pins(), d.num_pins());

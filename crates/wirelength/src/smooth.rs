@@ -245,7 +245,7 @@ impl<K: NetKernel> SmoothObjective for Axis<'_, K> {
             for (v, &zv) in z.iter().enumerate() {
                 let cell = self.index.cell(v);
                 let lam = a.lambda(cell);
-                // lint:allow(no-float-eq): exact 0.0 marks "no anchor on
+                // Exact 0.0 marks "no anchor on
                 // this cell"; tiny positive weights are real anchors.
                 if lam == 0.0 {
                     continue;

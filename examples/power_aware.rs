@@ -72,7 +72,8 @@ fn main() {
                 .any(|p| activity[p.cell.index()] > 0.5)
         })
         .collect();
-    let weighted = complx_timing::reweight_nets(&design, &hot_nets, 4.0);
+    let weighted =
+        complx_timing::reweight_nets(&design, &hot_nets, 4.0).expect("finite boosted weights");
     let gamma: Vec<f64> = activity.iter().map(|&a| 1.0 + 3.0 * a).collect();
     let aware = ComplxPlacer::new(PlacerConfig::default())
         .place_with_criticality(&weighted, Some(&gamma))

@@ -69,7 +69,7 @@ fn s6_net_weighting_shrinks_paths_without_hpwl_blowup() {
         nets.iter().map(|&n| hpwl::net_hpwl(&design, p, n)).sum()
     };
     let before = path_len(&base.legal);
-    let boosted = reweight_nets(&design, &nets, 20.0);
+    let boosted = reweight_nets(&design, &nets, 20.0).expect("finite boosted weights");
     let after_out = ComplxPlacer::new(PlacerConfig::default())
         .place(&boosted)
         .expect("placement failed");
