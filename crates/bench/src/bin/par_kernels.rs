@@ -1,8 +1,11 @@
 //! Sequential-vs-parallel speedup of the hottest data-parallel kernels:
 //! a capped Conjugate Gradient solve on a netlist-shaped system (its
 //! sparse multiply is sequential; its dense-vector helpers split above
-//! `PAR_MIN_LEN`) and the full feasibility projection `P_C`, each at three
-//! instance sizes. Both sizes are the design's cell count.
+//! `PAR_MIN_LEN`), the anchored primal step `QuadraticModel::minimize`
+//! (its x and y systems assemble and solve concurrently) and the full
+//! feasibility projection `P_C` (its bisection spreads large halves
+//! concurrently), each at three instance sizes. Every size is the
+//! design's cell count.
 //!
 //! For every kernel/size pair the harness times the exact sequential path
 //! (`--threads 1`) and the parallel path, checks the outputs are
@@ -11,7 +14,8 @@
 //! runtime's dispatch overhead (speedup ≈ 1 or slightly below).
 //!
 //! Usage: `cargo run --release -p complx-bench --bin par_kernels
-//! [--scale N] [--threads N]`. Writes `target/paper/par_kernels.txt` and
+//! [--scale N] [--threads N]`; the thread count defaults to the host's
+//! available parallelism (at least 2). Writes `target/paper/par_kernels.txt` and
 //! `target/paper/par_kernels.json`.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
@@ -26,6 +30,7 @@ use complx_obs::JsonValue;
 use complx_par as par;
 use complx_sparse::{CgSolver, CsrMatrix, TripletMatrix};
 use complx_spread::FeasibilityProjection;
+use complx_wirelength::{Anchors, InterconnectModel, NetModel, QuadraticModel};
 
 fn threads_arg() -> usize {
     let mut args = std::env::args();
@@ -143,6 +148,66 @@ fn bench_cg(cells: usize, threads: usize) -> Sample {
     }
 }
 
+/// One anchored primal step of the λ loop: Bound2Bound linearized at a
+/// wirelength-driven placement, anchored to its projection, and solved
+/// with the placer's default CG tolerance and cap.
+fn bench_primal(cells: usize, threads: usize) -> Sample {
+    let design = GeneratorConfig::ispd2005_like("parbench", 37, cells).generate();
+    let model = QuadraticModel::new(NetModel::Bound2Bound)
+        .with_solver(CgSolver::new().with_tolerance(1e-5).with_max_iterations(50));
+    let mut start = design.initial_placement();
+    model.minimize(&design, &mut start, None, None);
+    let targets = FeasibilityProjection::default()
+        .project(&design, &start)
+        .placement;
+    let anchors = Anchors::uniform(&design, targets, 0.05);
+    let step = || {
+        let mut pl = start.clone();
+        let stats = model.minimize(&design, &mut pl, Some(&anchors), None);
+        (pl, stats)
+    };
+    let seq = {
+        let _g = par::with_threads(1);
+        best_of(3, || {
+            std::hint::black_box(step());
+        })
+    };
+    let par_t = {
+        let _g = par::with_threads(threads);
+        best_of(3, || {
+            std::hint::black_box(step());
+        })
+    };
+    let (a, sa) = {
+        let _g = par::with_threads(1);
+        step()
+    };
+    let (b, sb) = {
+        let _g = par::with_threads(threads);
+        step()
+    };
+    assert_eq!(a, b, "primal determinism violated at {cells} cells");
+    assert_eq!(
+        (
+            sa.iterations_x,
+            sa.iterations_y,
+            sa.relative_residual.to_bits()
+        ),
+        (
+            sb.iterations_x,
+            sb.iterations_y,
+            sb.relative_residual.to_bits()
+        ),
+        "primal solver statistics differ at {cells} cells"
+    );
+    Sample {
+        kernel: "primal",
+        size: cells,
+        seq_seconds: seq,
+        par_seconds: par_t,
+    }
+}
+
 fn bench_projection(cells: usize, threads: usize) -> Sample {
     let design = GeneratorConfig::ispd2005_like("parbench", 29, cells).generate();
     let placement = design.initial_placement();
@@ -189,6 +254,11 @@ fn main() {
         let cells = (cells / scale).max(200);
         eprintln!("[par_kernels] cg cells = {cells}");
         samples.push(bench_cg(cells, threads));
+    }
+    for cells in [20_000, 80_000, 320_000] {
+        let cells = (cells / scale).max(200);
+        eprintln!("[par_kernels] primal cells = {cells}");
+        samples.push(bench_primal(cells, threads));
     }
     for cells in [2_000, 8_000, 24_000] {
         let cells = (cells / scale).max(200);

@@ -492,12 +492,13 @@ pub fn event(kind: &str, data: JsonValue) {
 }
 
 /// A handle that lets worker threads contribute spans, counters and
-/// histogram samples to the pipeline armed on the thread that created it.
+/// histogram samples to the pipeline the creating thread records into.
 ///
-/// Captured with [`carrier`] on the armed thread (usually right before a
-/// parallel region), sent to workers by shared reference, and activated
-/// per job with [`Carrier::attach`]. Inert when the pipeline was disarmed
-/// at capture time, so parallel kernels can call this unconditionally.
+/// Captured with [`carrier`] on an armed thread or an attached worker
+/// (usually right before a parallel region), sent to workers by shared
+/// reference, and activated per job with [`Carrier::attach`]. Inert when
+/// the thread recorded nowhere at capture time, so parallel kernels can
+/// call this unconditionally.
 #[derive(Debug, Clone)]
 pub struct Carrier {
     inner: Option<CarrierInner>,
@@ -520,71 +521,149 @@ impl std::fmt::Debug for SharedState {
     }
 }
 
-/// Captures a [`Carrier`] for the pipeline armed on this thread; inert
-/// when disarmed. The currently open span path becomes the prefix under
-/// which all worker-side spans are filed.
+/// Captures a [`Carrier`] for the pipeline this thread records into;
+/// inert when disarmed. The currently open span path becomes the prefix
+/// under which all worker-side spans are filed. On a worker armed by
+/// [`Carrier::attach`] that path is the worker's prefix plus its own open
+/// spans, so a job spawned from inside another job files its probes below
+/// the spawning job's.
 pub fn carrier() -> Carrier {
-    if !enabled() {
-        return Carrier { inner: None };
-    }
-    COLLECTOR.with(|c| {
-        let borrow = c.borrow();
-        let Some(col) = borrow.as_ref() else {
-            return Carrier { inner: None };
-        };
-        let mut prefix = String::new();
-        for (i, (name, _, _)) in col.stack.iter().enumerate() {
-            if i > 0 {
-                prefix.push('/');
-            }
-            prefix.push_str(name);
-        }
-        Carrier {
-            inner: Some(CarrierInner {
+    if enabled() {
+        return COLLECTOR.with(|c| Carrier {
+            inner: c.borrow().as_ref().map(|col| CarrierInner {
                 shared: Arc::clone(&col.shared),
-                prefix,
+                prefix: join_path("", &col.stack),
                 base_depth: col.stack.len(),
             }),
+        });
+    }
+    if worker_enabled() {
+        return WORKER.with(|w| Carrier {
+            inner: w.borrow().as_ref().map(|ctx| CarrierInner {
+                shared: Arc::clone(&ctx.shared),
+                prefix: join_path(&ctx.prefix, &ctx.stack),
+                base_depth: ctx.base_depth + ctx.stack.len(),
+            }),
+        });
+    }
+    Carrier { inner: None }
+}
+
+/// `prefix` extended by the names of `stack`, `/`-joined.
+fn join_path(prefix: &str, stack: &[(&'static str, Instant, MemMark)]) -> String {
+    let mut path = String::from(prefix);
+    for (name, _, _) in stack {
+        if !path.is_empty() {
+            path.push('/');
         }
-    })
+        path.push_str(name);
+    }
+    path
+}
+
+/// Whether `join_path(prefix, stack)` equals `want`, without allocating.
+fn path_is(prefix: &str, stack: &[(&'static str, Instant, MemMark)], want: &str) -> bool {
+    let Some(mut rest) = want.strip_prefix(prefix) else {
+        return false;
+    };
+    let mut empty = prefix.is_empty();
+    for (name, _, _) in stack {
+        if !empty {
+            let Some(r) = rest.strip_prefix('/') else {
+                return false;
+            };
+            rest = r;
+        }
+        let Some(r) = rest.strip_prefix(name) else {
+            return false;
+        };
+        rest = r;
+        empty = false;
+    }
+    rest.is_empty()
+}
+
+/// Whether this thread already records into `inner`'s accumulator at
+/// `inner`'s span path.
+fn records_at(inner: &CarrierInner) -> bool {
+    if enabled() {
+        return COLLECTOR.with(|c| {
+            c.borrow().as_ref().is_some_and(|col| {
+                Arc::ptr_eq(&col.shared, &inner.shared) && path_is("", &col.stack, &inner.prefix)
+            })
+        });
+    }
+    if worker_enabled() {
+        return WORKER.with(|w| {
+            w.borrow().as_ref().is_some_and(|ctx| {
+                Arc::ptr_eq(&ctx.shared, &inner.shared)
+                    && path_is(&ctx.prefix, &ctx.stack, &inner.prefix)
+            })
+        });
+    }
+    false
 }
 
 impl Carrier {
     /// Arms the current thread as a worker for the carrier's pipeline
     /// until the guard drops (typically the duration of one pool job).
     ///
-    /// Returns an inert guard when the carrier itself is inert, when this
-    /// thread has its own [`install`]ed pipeline (its collector already
-    /// records everything — this covers the scope caller helping to drain
-    /// the queue), or when a carrier is already attached (the outer one
-    /// keeps collecting).
+    /// Returns an inert guard when the carrier itself is inert, or when
+    /// this thread already records into the carrier's pipeline at the
+    /// carrier's span path (the scope caller running its own job inline,
+    /// or a worker draining a job it spawned itself). A thread recording
+    /// anywhere else — its own [`install`]ed pipeline at another path, a
+    /// job of another pipeline — is suspended until the guard drops, so a
+    /// job's probes land under the path it was spawned from whichever
+    /// thread runs it.
     pub fn attach(&self) -> CarrierGuard {
         let Some(inner) = &self.inner else {
-            return CarrierGuard { armed: false };
+            return CarrierGuard::default();
         };
-        if enabled() || worker_enabled() {
-            return CarrierGuard { armed: false };
+        if records_at(inner) {
+            return CarrierGuard::default();
         }
-        WORKER.with(|w| {
-            *w.borrow_mut() = Some(WorkerCtx {
+        let resume_local = enabled();
+        ACTIVE.with(|a| a.set(false));
+        let outer = WORKER.with(|w| {
+            w.borrow_mut().replace(WorkerCtx {
                 shared: Arc::clone(&inner.shared),
                 prefix: inner.prefix.clone(),
                 base_depth: inner.base_depth,
                 stack: Vec::new(),
                 local: SharedState::default(),
-            });
+            })
         });
         WORKER_ACTIVE.with(|a| a.set(true));
-        CarrierGuard { armed: true }
+        CarrierGuard {
+            armed: true,
+            resume_local,
+            outer,
+        }
     }
 }
 
 /// Disarms the worker-side pipeline and flushes its aggregates into the
-/// shared state when dropped.
+/// shared state when dropped, then resumes whatever pipeline the thread
+/// recorded into before the attach.
 #[must_use = "dropping the guard immediately detaches the worker pipeline"]
-#[derive(Debug)]
+#[derive(Default)]
 pub struct CarrierGuard {
     armed: bool,
+    /// The thread's own pipeline was armed before the attach.
+    resume_local: bool,
+    /// The worker context the attach displaced.
+    outer: Option<WorkerCtx>,
+}
+
+impl std::fmt::Debug for CarrierGuard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CarrierGuard")
+            .field("armed", &self.armed)
+            .field("resume_local", &self.resume_local)
+            .field("nested", &self.outer.is_some())
+            .finish()
+    }
 }
 
 impl Drop for CarrierGuard {
@@ -592,8 +671,11 @@ impl Drop for CarrierGuard {
         if !self.armed {
             return;
         }
-        WORKER_ACTIVE.with(|a| a.set(false));
-        let Some(ctx) = WORKER.with(|w| w.borrow_mut().take()) else {
+        let outer = self.outer.take();
+        WORKER_ACTIVE.with(|a| a.set(outer.is_some()));
+        let ctx = WORKER.with(|w| std::mem::replace(&mut *w.borrow_mut(), outer));
+        ACTIVE.with(|a| a.set(self.resume_local));
+        let Some(ctx) = ctx else {
             return;
         };
         // One lock per job, not per span: the whole local aggregate is
@@ -766,6 +848,73 @@ mod tests {
             "recorded locally, not via carrier"
         );
         assert_eq!(h.counter("mine"), 1);
+    }
+
+    #[test]
+    fn nested_carriers_file_under_the_spawning_job() {
+        install(Vec::new());
+        {
+            let _solve = span("solve");
+            let car = carrier();
+            // Four threads: this one, a job, and two jobs the job spawns.
+            let nested = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _attached = car.attach();
+                    let _region = span("region");
+                    let nested = carrier();
+                    std::thread::scope(|s| {
+                        for _ in 0..2 {
+                            s.spawn(|| {
+                                let _attached = nested.attach();
+                                let _half = span("half");
+                                add("nested.items", 1);
+                            });
+                        }
+                    });
+                    nested
+                })
+                .join()
+                .expect("job finishes")
+            });
+            // The armed thread running a nested job (a scope caller that
+            // drains the queue) files it under the job's path, not its own.
+            let _attached = nested.attach();
+            let _half = span("half");
+            add("nested.items", 1);
+        }
+        add("after", 1);
+        let h = harvest().expect("installed");
+        let region = h.phase("solve/region").expect("job span recorded");
+        assert_eq!((region.count, region.depth), (1, 1));
+        let half = h.phase("solve/region/half").expect("nested spans recorded");
+        assert_eq!((half.count, half.depth), (3, 2));
+        assert!(h.phase("solve/half").is_none(), "{:?}", h.phases);
+        assert_eq!(h.counter("nested.items"), 3);
+        assert_eq!(h.counter("after"), 1, "the armed thread resumed");
+    }
+
+    #[test]
+    fn nested_carriers_on_one_thread_record_locally() {
+        let exits = std::rc::Rc::new(std::cell::Cell::new(0));
+        install(vec![Box::new(CountingSink {
+            exits: exits.clone(),
+            closed: std::rc::Rc::new(std::cell::Cell::new(false)),
+        })]);
+        {
+            let _solve = span("solve");
+            let car = carrier();
+            let _attached = car.attach();
+            let _region = span("region");
+            let nested = carrier();
+            let _inner = nested.attach();
+            let _half = span("half");
+            add("nested.items", 1);
+        }
+        let h = harvest().expect("installed");
+        // Every span reached the sink: nothing took the carrier route.
+        assert_eq!(exits.get(), 3);
+        assert_eq!(h.phase("solve/region/half").map(|p| p.count), Some(1));
+        assert_eq!(h.counter("nested.items"), 1);
     }
 
     #[test]

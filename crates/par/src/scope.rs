@@ -44,15 +44,20 @@ pub struct Scope<'scope> {
 
 impl<'scope> Scope<'scope> {
     /// Spawns `f` onto the pool. The closure may borrow anything that
-    /// outlives the [`scope`] call. A panicking job does not abort the
-    /// others; the first panic payload is re-thrown when the scope closes.
+    /// outlives the [`scope`] call, and runs under the spawning thread's
+    /// [`crate::threads`]. A panicking job does not abort the others; the
+    /// first panic payload is re-thrown when the scope closes.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
         self.state.pending.fetch_add(1, Ordering::SeqCst);
         let state = Arc::clone(&self.state);
+        let budget = crate::threads();
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            // The job runs under its spawner's thread budget, whichever
+            // thread picks it up, so nested parallel calls decide alike.
+            let _budget = crate::with_threads(budget);
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 plain(&state.panic).get_or_insert(payload);
             }
@@ -227,6 +232,27 @@ mod tests {
             });
         });
         assert_eq!(hits.into_inner(), 2);
+    }
+
+    #[test]
+    fn jobs_inherit_the_spawners_thread_budget() {
+        let _g = crate::with_threads(3);
+        let seen = Mutex::new(Vec::new());
+        scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let inner = crate::threads();
+                    let _nested = crate::with_threads(5);
+                    scope(|s| {
+                        s.spawn(|| {
+                            plain(&seen).push((inner, crate::threads()));
+                        });
+                    });
+                });
+            }
+        });
+        assert_eq!(plain(&seen).as_slice(), &[(3, 5); 4]);
+        assert_eq!(crate::threads(), 3);
     }
 
     #[test]

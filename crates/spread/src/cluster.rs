@@ -26,10 +26,6 @@ pub struct SpreadRegion {
 }
 
 impl SpreadRegion {
-    fn contains_bin(&self, ix: usize, iy: usize) -> bool {
-        ix >= self.x0 && ix < self.x1 && iy >= self.y0 && iy < self.y1
-    }
-
     fn intersects(&self, o: &SpreadRegion) -> bool {
         self.x0 < o.x1 && o.x0 < self.x1 && self.y0 < o.y1 && o.y0 < self.y1
     }
@@ -174,7 +170,6 @@ pub fn cluster(caps: &CapacityMap, items: &[Item], gamma: f64) -> Vec<SpreadRegi
         let ob = region_usage(b) - gamma * caps.free_in_bins(b.x0, b.y0, b.x1, b.y1);
         ob.total_cmp(&oa)
     });
-    let _ = SpreadRegion::contains_bin; // silence unused in release builds
     regions
 }
 

@@ -4,12 +4,13 @@
 use std::sync::{Mutex, TryLockError};
 
 use complx_netlist::{CellId, Design, NetId, Pin, Placement, Point};
-use complx_sparse::{CgSolver, CsrMatrix, CsrWorkspace, TripletMatrix};
+use complx_sparse::{CgSolver, CsrMatrix, CsrWorkspace, SolveStats, TripletMatrix};
 
-/// Designs with fewer nets than this assemble in a single chunk (no pool
-/// dispatch). The per-net stamping order is preserved by reading per-chunk
-/// buffers in chunk order, so the assembled system is bit-identical for
-/// any chunking — this gate is purely a dispatch-overhead cutoff.
+/// Designs with fewer nets than this solve their two axes one after the
+/// other and assemble each in a single chunk (no pool dispatch). Each axis
+/// owns its buffers, and the per-net stamping order is preserved by
+/// reading per-chunk buffers in chunk order, so the result is bit-identical
+/// for any split — this gate is purely a dispatch-overhead cutoff.
 const PAR_MIN_NETS: usize = 512;
 
 /// Diagonal weight that keeps a variable with no stored diagonal entry
@@ -103,7 +104,9 @@ struct Layout {
 }
 
 impl Layout {
-    fn new(design: &Design, net_model: NetModel) -> Self {
+    /// `threads` is the budget of one axis's assembly: the number of
+    /// stamping chunks above `PAR_MIN_NETS`.
+    fn new(design: &Design, net_model: NetModel, threads: usize) -> Self {
         let index = VarIndex::new(design);
         let n_cells = index.num_vars();
         let num_nets = design.num_nets();
@@ -124,7 +127,7 @@ impl Layout {
         let nparts = if num_nets < PAR_MIN_NETS {
             1
         } else {
-            complx_par::threads().min(num_nets)
+            threads.clamp(1, num_nets)
         };
         let mut bounds = Vec::with_capacity(nparts + 1);
         bounds.push(0usize);
@@ -162,9 +165,9 @@ struct ChunkBuf {
     edges: Vec<Edge>,
 }
 
-/// Assembly and solve buffers, reused across axes and `minimize` calls.
+/// One axis's assembly and solve buffers, reused across `minimize` calls.
 #[derive(Debug, Default)]
-struct Workspace {
+struct AxisWorkspace {
     chunks: Vec<ChunkBuf>,
     /// Anchor and regularization diagonals, stamped after the nets.
     tail: TripletMatrix,
@@ -174,9 +177,12 @@ struct Workspace {
     rhs: Vec<f64>,
     csr: CsrWorkspace,
     matrix: CsrMatrix,
-    /// Per-axis solution (cell variables first, then star variables).
-    sol: [Vec<f64>; 2],
+    /// The solution (cell variables first, then star variables).
+    sol: Vec<f64>,
 }
+
+/// The x and y buffers: the axes are assembled and solved concurrently.
+type Workspace = [AxisWorkspace; 2];
 
 /// A model's [`Workspace`]. Buffers carry no state between calls, so a
 /// clone starts empty and two models compare equal whatever they hold.
@@ -338,7 +344,7 @@ impl QuadraticModel {
     }
 
     /// Assembles one axis's system into `ws.matrix` and `ws.rhs`, with the
-    /// warm start in `ws.sol[axis]`.
+    /// warm start in `ws.sol`.
     ///
     /// The matrix is the [`CsrMatrix`] of the triplet sequence chunk 0, …, chunk
     /// k−1, anchor diagonals, regularization diagonals — the order of a
@@ -348,7 +354,7 @@ impl QuadraticModel {
         &self,
         design: &Design,
         layout: &Layout,
-        ws: &mut Workspace,
+        ws: &mut AxisWorkspace,
         placement: &Placement,
         anchors: Option<&Anchors>,
         axis: Axis,
@@ -443,7 +449,7 @@ impl QuadraticModel {
         ws.rhs.extend(f.iter().map(|v| -v));
 
         // Warm start from the current coordinates (star vars at net centroid).
-        let x = &mut ws.sol[axis as usize];
+        let x = &mut ws.sol;
         x.clear();
         x.extend((0..n_cells).map(|v| axis.coord(placement, index.cell(v))));
         x.resize(n, 0.0);
@@ -461,6 +467,12 @@ impl QuadraticModel {
     }
 
     /// Assembles and solves both axes, then writes the solution back.
+    ///
+    /// Above `PAR_MIN_NETS` nets (and with more than one thread) the x
+    /// axis runs on the pool while the calling thread does the y axis,
+    /// each under half the thread budget. Both read the incoming
+    /// placement and write only their own buffers, so the result is the
+    /// sequential one bit for bit.
     fn minimize_in(
         &self,
         ws: &mut Workspace,
@@ -469,20 +481,52 @@ impl QuadraticModel {
         anchors: Option<&Anchors>,
         cancel: Option<&complx_par::CancelToken>,
     ) -> MinimizeStats {
-        let layout = Layout::new(design, self.net_model);
-        let [sx, sy] = [Axis::X, Axis::Y].map(|axis| {
+        let threads = complx_par::threads();
+        let fork = threads > 1 && design.num_nets() >= PAR_MIN_NETS;
+        // Halving matters: an axis holding the whole budget opens nested
+        // scopes whose waits drain the FIFO queue, and the y axis's wait
+        // then picks up and runs the queued x axis itself.
+        let per_axis = if fork { (threads / 2).max(1) } else { threads };
+        let layout = Layout::new(design, self.net_model, per_axis);
+        let [wx, wy] = ws;
+        let pl: &Placement = placement;
+        let solve = |ws: &mut AxisWorkspace, axis| {
             {
                 let _span = complx_obs::span("b2b_rebuild");
-                self.assemble_axis(design, &layout, ws, placement, anchors, axis);
+                self.assemble_axis(design, &layout, ws, pl, anchors, axis);
             }
             let _solve_span = complx_obs::span(match axis {
                 Axis::X => "cg_solve_x",
                 Axis::Y => "cg_solve_y",
             });
-            let x = &mut ws.sol[axis as usize];
-            self.solver.solve(&ws.matrix, &ws.rhs, x, cancel)
-        });
-        let [xs, ys] = &ws.sol;
+            self.solver.solve(&ws.matrix, &ws.rhs, &mut ws.sol, cancel)
+        };
+        let (sx, sy) = if fork {
+            // Overwritten by the job: `scope` returns only after it ran,
+            // and re-throws its panic if it had one.
+            let mut sx = SolveStats {
+                iterations: 0,
+                relative_residual: f64::NAN,
+                converged: false,
+                breakdown: None,
+                clamped_diagonals: 0,
+            };
+            let car = complx_obs::carrier();
+            let sy = complx_par::scope(|s| {
+                s.spawn(|| {
+                    let _attached = car.attach();
+                    let _budget = complx_par::with_threads(per_axis);
+                    let _sp = complx_obs::span("chunks");
+                    sx = solve(wx, Axis::X);
+                });
+                let _budget = complx_par::with_threads(per_axis);
+                solve(wy, Axis::Y)
+            });
+            (sx, sy)
+        } else {
+            (solve(wx, Axis::X), solve(wy, Axis::Y))
+        };
+        let (xs, ys) = (&wx.sol, &wy.sol);
         for v in 0..layout.index.num_vars() {
             let cell = layout.index.cell(v);
             let p = clamp_to_core(design, cell, Point::new(xs[v], ys[v]));
@@ -688,27 +732,44 @@ mod tests {
 
     #[test]
     fn minimize_bit_identical_across_thread_counts() {
-        // `small` generates ~660 nets, clearing PAR_MIN_NETS, so the
-        // chunked assembly path actually runs with several chunks.
+        // `small` generates ~660 nets, clearing PAR_MIN_NETS, so the axes
+        // run concurrently and each assembles in several chunks. Three
+        // threads split the budget unevenly.
         let d = GeneratorConfig::small("det", 11).generate();
         assert!(d.num_nets() >= super::PAR_MIN_NETS);
-        let model = QuadraticModel::default();
-        let run = |t: usize| {
-            let _g = complx_par::with_threads(t);
-            let mut pl = d.initial_placement();
-            for _ in 0..2 {
-                model.minimize(&d, &mut pl, None, None);
-            }
-            pl
-        };
-        let reference = run(1);
-        for t in [2, 8] {
-            let pl = run(t);
-            for (a, b) in pl.xs().iter().zip(reference.xs()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "x drifted at {t} threads");
-            }
-            for (a, b) in pl.ys().iter().zip(reference.ys()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "y drifted at {t} threads");
+        let mut targets = d.initial_placement();
+        for (i, v) in targets.xs_mut().iter_mut().enumerate() {
+            *v += ((i * 29) % 17) as f64 - 8.0;
+        }
+        let lambda = (0..d.num_cells())
+            .map(|i| 0.2 + (i % 5) as f64 * 0.1)
+            .collect();
+        let anchors = Anchors::per_cell(&d, targets, lambda, 1.0);
+        for net_model in [
+            NetModel::Bound2Bound,
+            NetModel::Clique,
+            NetModel::Star,
+            NetModel::HybridCliqueStar,
+        ] {
+            let model = QuadraticModel::new(net_model);
+            let run = |t: usize| {
+                let _g = complx_par::with_threads(t);
+                let mut pl = d.initial_placement();
+                let stats: Vec<MinimizeStats> = (0..2)
+                    .map(|_| model.minimize(&d, &mut pl, Some(&anchors), None))
+                    .collect();
+                (pl, stats)
+            };
+            let (reference, ref_stats) = run(1);
+            for t in [2, 3, 8] {
+                let (pl, stats) = run(t);
+                for (a, b) in pl.xs().iter().zip(reference.xs()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{net_model:?}: x at {t} threads");
+                }
+                for (a, b) in pl.ys().iter().zip(reference.ys()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{net_model:?}: y at {t} threads");
+                }
+                assert_eq!(stats, ref_stats, "{net_model:?}: stats at {t} threads");
             }
         }
     }
@@ -857,8 +918,9 @@ mod tests {
         let small = GeneratorConfig::small("asm", 12).generate();
         assert!(small.num_nets() >= super::PAR_MIN_NETS);
         let iso = design_with_isolated_variables();
-        // One workspace across every case: buffers carry nothing over.
-        let mut ws = Workspace::default();
+        // One workspace across every case, each axis in its own buffers:
+        // buffers carry nothing over.
+        let mut wss = Workspace::default();
         let mut cases = 0;
         for d in [&small, &iso] {
             let mut pl = d.initial_placement();
@@ -891,8 +953,9 @@ mod tests {
                         let (want_a, want_rhs) = reference_assembly(&model, d, &pl, anchors, axis);
                         for t in [1, 2, 8] {
                             let _g = complx_par::with_threads(t);
-                            let layout = Layout::new(d, net_model);
-                            model.assemble_axis(d, &layout, &mut ws, &pl, anchors, axis);
+                            let layout = Layout::new(d, net_model, t);
+                            let ws = &mut wss[axis as usize];
+                            model.assemble_axis(d, &layout, ws, &pl, anchors, axis);
                             let what = format!(
                                 "{} {net_model:?} anchors={} {axis:?} t={t}",
                                 d.name(),
@@ -917,9 +980,9 @@ mod tests {
         let d = design_with_isolated_variables();
         let pl = d.initial_placement();
         let model = QuadraticModel::new(NetModel::Star);
-        let layout = Layout::new(&d, NetModel::Star);
+        let layout = Layout::new(&d, NetModel::Star, 1);
         let lonely = layout.index.var(CellId::from_index(2)).unwrap();
-        let mut ws = Workspace::default();
+        let mut ws = AxisWorkspace::default();
         model.assemble_axis(&d, &layout, &mut ws, &pl, None, Axis::X);
         assert_eq!(ws.matrix.get(lonely, lonely), REG);
         // The all-fixed net's star variable (the last) is stamped against
