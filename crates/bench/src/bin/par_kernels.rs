@@ -1,11 +1,11 @@
 //! Sequential-vs-parallel speedup of the hottest data-parallel kernels:
-//! a capped Conjugate Gradient solve on a netlist-shaped system (its
-//! sparse multiply is sequential; its dense-vector helpers split above
-//! `PAR_MIN_LEN`), the anchored primal step `QuadraticModel::minimize`
-//! (its x and y systems assemble and solve concurrently) and the full
-//! feasibility projection `P_C` (its bisection spreads large halves
-//! concurrently), each at three instance sizes. Every size is the
-//! design's cell count.
+//! the anchored primal step `QuadraticModel::minimize` (its x and y
+//! systems assemble and solve concurrently) and the full feasibility
+//! projection `P_C` (its bisection spreads large halves concurrently),
+//! each at three instance sizes. Every size is the design's cell count.
+//! The CG solve itself is sequential (its multiply and its dense-vector
+//! helpers both measured below 1× split; DESIGN.md §11), so it has no
+//! row here.
 //!
 //! For every kernel/size pair the harness times the exact sequential path
 //! (`--threads 1`) and the parallel path, checks the outputs are
@@ -25,10 +25,9 @@ use std::time::Instant;
 use complx_bench::report::Table;
 use complx_bench::{artifact_dir, scale_arg};
 use complx_netlist::generator::GeneratorConfig;
-use complx_netlist::Design;
 use complx_obs::JsonValue;
 use complx_par as par;
-use complx_sparse::{CgSolver, CsrMatrix, TripletMatrix};
+use complx_sparse::CgSolver;
 use complx_spread::FeasibilityProjection;
 use complx_wirelength::{Anchors, InterconnectModel, NetModel, QuadraticModel};
 
@@ -42,40 +41,6 @@ fn threads_arg() -> usize {
         }
     }
     par::available().max(2)
-}
-
-/// A placement-shaped SPD matrix over `design`'s cells: each net stamps
-/// Bound2Bound-like springs from its first and last pin to every other pin
-/// (weight `1/(k−1)` for `k` pins), columns are cell ids, and every cell
-/// gets a unit anchor. The rows are as short and ragged, and the gathers as
-/// scattered, as in the assembled primal system.
-fn netlist_spd(design: &Design) -> CsrMatrix {
-    let n = design.num_cells();
-    let mut t = TripletMatrix::new(n);
-    for i in 0..n {
-        t.add_diagonal(i, 1.0);
-    }
-    for net in design.net_ids() {
-        let mut cells: Vec<usize> = design
-            .net_pins(net)
-            .iter()
-            .map(|p| p.cell.index())
-            .collect();
-        cells.dedup();
-        let [first, .., last] = cells[..] else {
-            continue;
-        };
-        let w = 1.0 / (cells.len() - 1) as f64;
-        for (k, &c) in cells.iter().enumerate() {
-            if c != first {
-                t.add_connection(first, c, w);
-            }
-            if c != last && k != 0 {
-                t.add_connection(last, c, w);
-            }
-        }
-    }
-    t.to_csr()
 }
 
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -93,59 +58,6 @@ struct Sample {
     size: usize,
     seq_seconds: f64,
     par_seconds: f64,
-}
-
-/// CG iterations per timed solve: enough to reach the steady loop, few
-/// enough that the largest case stays fast.
-const CG_ITERATIONS: usize = 40;
-
-fn bench_cg(cells: usize, threads: usize) -> Sample {
-    let design = GeneratorConfig::ispd2005_like("parbench", 31, cells).generate();
-    let a = netlist_spd(&design);
-    let n = a.dim();
-    let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
-    let cg = CgSolver::new()
-        .with_tolerance(0.0)
-        .with_max_iterations(CG_ITERATIONS);
-    let solve = || {
-        let mut x = vec![0.0; n];
-        cg.solve(&a, &b, &mut x, None);
-        x
-    };
-    let reps = (200_000_000 / (a.nnz() * CG_ITERATIONS).max(1)).clamp(3, 50);
-    let seq = {
-        let _g = par::with_threads(1);
-        best_of(reps, || {
-            std::hint::black_box(solve());
-        })
-    };
-    let par_t = {
-        let _g = par::with_threads(threads);
-        best_of(reps, || {
-            std::hint::black_box(solve());
-        })
-    };
-    let x_seq = {
-        let _g = par::with_threads(1);
-        solve()
-    };
-    let x_par = {
-        let _g = par::with_threads(threads);
-        solve()
-    };
-    for i in 0..n {
-        assert_eq!(
-            x_seq[i].to_bits(),
-            x_par[i].to_bits(),
-            "cg determinism violated at row {i}"
-        );
-    }
-    Sample {
-        kernel: "cg",
-        size: cells,
-        seq_seconds: seq,
-        par_seconds: par_t,
-    }
 }
 
 /// One anchored primal step of the λ loop: Bound2Bound linearized at a
@@ -250,11 +162,6 @@ fn main() {
     );
 
     let mut samples = Vec::new();
-    for cells in [20_000, 80_000, 320_000] {
-        let cells = (cells / scale).max(200);
-        eprintln!("[par_kernels] cg cells = {cells}");
-        samples.push(bench_cg(cells, threads));
-    }
     for cells in [20_000, 80_000, 320_000] {
         let cells = (cells / scale).max(200);
         eprintln!("[par_kernels] primal cells = {cells}");

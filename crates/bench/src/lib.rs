@@ -5,6 +5,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic family is denied, not forbidden: this harness is off the
+// solve path, and two sites abort a measurement on purpose (`artifact_dir`,
+// `snapshot::run_case`).
 #![cfg_attr(
     not(test),
     deny(

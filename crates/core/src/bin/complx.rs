@@ -449,6 +449,10 @@ fn main() -> ExitCode {
         complx_obs::install(sinks);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "total solve timer; feeds the metrics line and the report's wall-clock field only"
+    )]
     let started = std::time::Instant::now();
     let placer = ComplxPlacer::new(cfg.clone());
     let placed = match &opts.resume {

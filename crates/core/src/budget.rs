@@ -38,13 +38,12 @@ impl Budget {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Some(StopReason::Cancelled);
         }
-        // lint:allow(nondet-taint): the deadline watchdog is the explicit
-        // --max-seconds opt-out of bit-determinism; without a budget this
-        // read never gates an iteration
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(StopReason::TimeBudget);
-        }
-        None
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the deadline watchdog is the explicit --max-seconds opt-out of bit-determinism; without a budget this read never gates an iteration"
+        )]
+        let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
+        expired.then_some(StopReason::TimeBudget)
     }
 
     /// The external token for threading into cancellable kernels. `None`
@@ -56,6 +55,10 @@ impl Budget {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests build deadlines relative to now"
+)]
 mod tests {
     use super::*;
     use std::time::Duration;

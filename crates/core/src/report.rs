@@ -223,6 +223,10 @@ mod tests {
             ..PlacerConfig::fast()
         };
         complx_obs::install(Vec::new());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the report's wall-clock field needs a real duration"
+        )]
         let t0 = std::time::Instant::now();
         let outcome = ComplxPlacer::new(cfg.clone()).place(&d).expect("places");
         let harvest = complx_obs::harvest().expect("armed");

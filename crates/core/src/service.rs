@@ -84,8 +84,10 @@ pub fn solve(design: &Design, request: SolveRequest) -> Result<SolveArtifacts, P
     if let Some(token) = cancel {
         placer = placer.with_cancel(token);
     }
-    // lint:allow(nondet-taint): total solve timer; feeds the report's
-    // wall-clock field only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "total solve timer; feeds the report's wall-clock field only"
+    )]
     let started = std::time::Instant::now();
     let outcome = match placer.place(design) {
         Ok(o) => o,

@@ -1,12 +1,12 @@
 //! `complx-json` — the workspace's one JSON implementation: a minimal
 //! document model with a hand-rolled serializer and parser.
 //!
-//! The crate has no dependencies, so both the instrumentation layer
-//! (`complx-obs`, which re-exports it) and the linter (`complx-lint`) can
-//! use it. It implements exactly the subset of JSON the run reports, JSONL
-//! event streams and lint reports need: objects with ordered keys, arrays,
-//! strings, booleans, integers and floats. Non-finite floats serialize as
-//! `null` (JSON has no NaN/Inf). The parser accepts any RFC 8259 document
+//! The crate has no dependencies, so the instrumentation layer
+//! (`complx-obs`, which re-exports it) and everything above it can use
+//! it. It implements exactly the subset of JSON the run reports, JSONL
+//! event streams and bench snapshots need: objects with ordered keys,
+//! arrays, strings, booleans, integers and floats. Non-finite floats
+//! serialize as `null` (JSON has no NaN/Inf). The parser accepts any RFC 8259 document
 //! produced by the serializer (and standard JSON generally) nested at most
 //! [`MAX_DEPTH`] deep, so a hostile input is an error, not a stack
 //! overflow.
@@ -15,16 +15,15 @@
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(
+    forbid(
         clippy::unwrap_used,
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented,
-        clippy::float_cmp,
-        clippy::float_cmp_const
-    )
+        clippy::unimplemented
+    ),
+    deny(clippy::float_cmp, clippy::float_cmp_const)
 )]
 
 use std::fmt::Write as _;

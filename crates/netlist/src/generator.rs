@@ -18,6 +18,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::cell::{CellId, CellKind};
 use crate::design::{Design, DesignBuilder};
+use crate::error::DesignError;
 use crate::geom::{Point, Rect};
 
 /// Parameters for one synthetic instance.
@@ -115,6 +116,18 @@ impl GeneratorConfig {
         assert!(self.num_std_cells + self.num_movable_macros > 0);
         assert!(self.utilization > 0.0 && self.utilization < 1.0);
         assert!(self.target_density > 0.0 && self.target_density <= 1.0);
+        #[expect(
+            clippy::expect_used,
+            reason = "every builder call takes generator-controlled inputs: unique names, positive dimensions, nets over two or more live cells, the density asserted above"
+        )]
+        let design = self
+            .try_generate()
+            .expect("generator produces valid designs");
+        design
+    }
+
+    /// The body of [`Self::generate`], whose builder calls cannot fail.
+    fn try_generate(&self) -> Result<Design, DesignError> {
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         // --- cell dimensions -------------------------------------------------
@@ -171,12 +184,7 @@ impl GeneratorConfig {
         let core = Rect::new(0.0, 0.0, core_w, core_h);
 
         let mut b = DesignBuilder::new(self.name.clone(), core, rh);
-        #[expect(
-            clippy::expect_used,
-            reason = "density was range-checked a few lines up"
-        )]
-        b.set_target_density(self.target_density)
-            .expect("validated above");
+        b.set_target_density(self.target_density)?;
 
         // --- fixed macro obstacles (rejection-sampled, non-overlapping) ------
         let mut obstacles: Vec<Rect> = Vec::new();
@@ -200,13 +208,8 @@ impl GeneratorConfig {
             }
             if let Some((cx, cy, r)) = placed {
                 obstacles.push(r);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "generator-assigned name is unique, dims sampled positive"
-                )]
-                let id = b
-                    .add_fixed_cell(format!("fm{i}"), w, h, CellKind::Fixed, Point::new(cx, cy))
-                    .expect("unique name, positive dims");
+                let id =
+                    b.add_fixed_cell(format!("fm{i}"), w, h, CellKind::Fixed, Point::new(cx, cy))?;
                 fixed_ids.push(id);
             }
             // Unplaceable obstacles are silently dropped (core nearly full).
@@ -227,19 +230,13 @@ impl GeneratorConfig {
             } else {
                 (core.lx, core.hy - (s - 2.0 * core.width() - core.height()))
             };
-            #[expect(
-                clippy::expect_used,
-                reason = "generator-assigned name is unique, dims are 1x1"
-            )]
-            let id = b
-                .add_fixed_cell(
-                    format!("pad{i}"),
-                    1.0,
-                    1.0,
-                    CellKind::Terminal,
-                    Point::new(x, y),
-                )
-                .expect("unique name, positive dims");
+            let id = b.add_fixed_cell(
+                format!("pad{i}"),
+                1.0,
+                1.0,
+                CellKind::Terminal,
+                Point::new(x, y),
+            )?;
             pad_ids.push(id);
         }
 
@@ -262,11 +259,7 @@ impl GeneratorConfig {
             } else {
                 format!("mm{}", i - self.num_std_cells)
             };
-            #[expect(
-                clippy::expect_used,
-                reason = "generator-assigned name is unique, dims sampled positive"
-            )]
-            let id = b.add_cell(name, w, h, kind).expect("unique, positive");
+            let id = b.add_cell(name, w, h, kind)?;
             movable_ids.push(id);
             let col = i % cols;
             let row = i / cols;
@@ -329,12 +322,7 @@ impl GeneratorConfig {
                         connected[*k] = true;
                     }
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "net name is unique and >=2 pins reference live cells"
-                )]
-                b.add_net(format!("n{ni}"), 1.0, pins)
-                    .expect("valid net construction");
+                b.add_net(format!("n{ni}"), 1.0, pins)?;
             }
         }
 
@@ -350,16 +338,11 @@ impl GeneratorConfig {
                 i.wrapping_sub(1)
             };
             if n_mov > 1 {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "net name is unique and both pins reference live cells"
-                )]
                 b.add_net(
                     format!("nc{i}"),
                     1.0,
                     vec![(movable_ids[i], 0.0, 0.0), (movable_ids[j], 0.0, 0.0)],
-                )
-                .expect("valid net construction");
+                )?;
                 connected[i] = true;
                 connected[j] = true;
             }
@@ -371,25 +354,15 @@ impl GeneratorConfig {
                 break;
             }
             let target = movable_ids[(i * 7919) % n_mov];
-            #[expect(
-                clippy::expect_used,
-                reason = "net name is unique and both pins reference live cells"
-            )]
             b.add_net(
                 format!("nf{i}"),
                 1.0,
                 vec![(fid, 0.0, 0.0), (target, 0.0, 0.0)],
-            )
-            .expect("valid net construction");
+            )?;
         }
 
-        #[expect(
-            clippy::expect_used,
-            reason = "every element above was built with generator-controlled inputs"
-        )]
-        let design = b.build().expect("generator produces valid designs");
         let _ = homes; // homes only shape net selection; placement is the placer's job
-        design
+        b.build()
     }
 }
 

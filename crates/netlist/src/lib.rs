@@ -29,18 +29,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// `expect_used` is denied, not forbidden, for the one waiver in
+// `GeneratorConfig::generate`, whose signature promises a design.
 #![cfg_attr(
     not(test),
-    deny(
+    forbid(
         clippy::unwrap_used,
-        clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented,
-        clippy::float_cmp,
-        clippy::float_cmp_const
-    )
+        clippy::unimplemented
+    ),
+    deny(clippy::expect_used, clippy::float_cmp, clippy::float_cmp_const)
 )]
 
 pub mod bookshelf;

@@ -85,9 +85,14 @@ fn record_alloc(size: usize) {
     if !INSTALLED.load(Ordering::Relaxed) {
         INSTALLED.store(true, Ordering::Relaxed);
     }
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    if ENABLED.load(Ordering::Relaxed) {
+        count_alloc(size);
     }
+}
+
+/// The armed half of [`record_alloc`].
+#[inline]
+fn count_alloc(size: usize) {
     TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     TOTAL_ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
@@ -101,9 +106,14 @@ fn record_alloc(size: usize) {
 
 #[inline]
 fn record_dealloc(size: usize) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    if ENABLED.load(Ordering::Relaxed) {
+        count_dealloc(size);
     }
+}
+
+/// The armed half of [`record_dealloc`].
+#[inline]
+fn count_dealloc(size: usize) {
     TOTAL_FREES.fetch_add(1, Ordering::Relaxed);
     TOTAL_FREED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
@@ -660,6 +670,20 @@ mod tests {
         assert_eq!(iters[0].iteration, 3);
         assert_eq!(iters[1].iteration, 4);
         assert_eq!(handle.dropped(), 2);
+    }
+
+    /// Drives the counters directly: this test binary installs no
+    /// [`CountingAlloc`] and never arms the profiler, so no other thread
+    /// allocates or frees into them while the test runs.
+    #[test]
+    fn high_water_mark_survives_the_free() {
+        reset_mem_counters();
+        count_alloc(4 << 20);
+        count_dealloc(4 << 20);
+        let t = mem_totals();
+        assert_eq!(t.peak_bytes, 4 << 20, "peak must remember the 4 MiB spike");
+        assert_eq!(t.live_bytes, 0, "live fell back after the free");
+        assert_eq!((t.allocs, t.frees), (1, 1));
     }
 
     #[test]

@@ -58,26 +58,6 @@ fn allocator_is_detected_and_counts_when_armed() {
 }
 
 #[test]
-fn high_water_mark_survives_the_free() {
-    let _session = mem_lock();
-    reset_mem_counters();
-    let spike: Vec<u8> = vec![1; 4 << 20];
-    drop(spike);
-    let t = mem_totals();
-    assert!(
-        t.peak_bytes >= (4 << 20),
-        "peak {} must remember the 4 MiB spike",
-        t.peak_bytes
-    );
-    assert!(
-        t.live_bytes < t.peak_bytes,
-        "live {} fell back after the free, peak {} did not",
-        t.live_bytes,
-        t.peak_bytes
-    );
-}
-
-#[test]
 fn spans_attribute_allocations_to_nested_paths() {
     let _session = mem_lock();
     install(Vec::new());

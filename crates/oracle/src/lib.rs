@@ -32,16 +32,15 @@
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(
+    forbid(
         clippy::unwrap_used,
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented,
-        clippy::float_cmp,
-        clippy::float_cmp_const
-    )
+        clippy::unimplemented
+    ),
+    deny(clippy::float_cmp, clippy::float_cmp_const)
 )]
 
 pub mod constraints;

@@ -14,8 +14,9 @@
 //!    process; [`scope`] lends borrowed closures to them and never returns
 //!    until every spawned job has finished (worker panics are captured and
 //!    re-thrown on the caller).
-//! 3. **Chunked helpers** ([`par_for`], [`par_map`], [`par_reduce`]) that
-//!    claim chunk indices dynamically but merge results *in chunk order*.
+//! 3. **Chunked helpers** ([`par_for`], [`par_map`]) that claim indices
+//!    dynamically but return results *in index order*, and the size-only
+//!    chunk geometry ([`chunk_count`], [`chunk_range`]) kernels split by.
 //!
 //! It also hosts the [`CancelToken`] cooperative-cancellation primitive the
 //! solve pipeline polls at safe points — it lives here (rather than in the
@@ -46,16 +47,15 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![cfg_attr(
     not(test),
-    deny(
+    forbid(
         clippy::unwrap_used,
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented,
-        clippy::float_cmp,
-        clippy::float_cmp_const
-    )
+        clippy::unimplemented
+    ),
+    deny(clippy::float_cmp, clippy::float_cmp_const)
 )]
 
 mod cancel;
@@ -64,7 +64,7 @@ mod pool;
 mod scope;
 
 pub use cancel::CancelToken;
-pub use ops::{chunk_count, chunk_range, par_for, par_map, par_reduce, sum_f64};
+pub use ops::{chunk_count, chunk_range, par_for, par_map};
 pub use scope::{scope, Scope};
 
 use std::cell::Cell;

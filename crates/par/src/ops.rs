@@ -7,8 +7,8 @@ use std::sync::Mutex;
 use crate::scope;
 
 /// Number of chunks of size `chunk` covering `len` elements. Depends only
-/// on `(len, chunk)` — never on the thread count — which is what makes
-/// chunked reductions bit-stable across thread counts.
+/// on `(len, chunk)` — never on the thread count — so results merged in
+/// chunk order are bit-stable across thread counts.
 pub fn chunk_count(len: usize, chunk: usize) -> usize {
     len.div_ceil(chunk.max(1))
 }
@@ -91,33 +91,6 @@ pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     pairs.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Ordered tree-reduce: maps `f` over `0..n` chunks in parallel, then
-/// folds the per-chunk partials **left-to-right in chunk index order** on
-/// the calling thread. Returns `None` for `n == 0`.
-///
-/// Pair this with size-only chunk boundaries ([`chunk_count`] /
-/// [`chunk_range`]) and an f64 sum is bit-identical for 1, 2, or any
-/// other number of threads.
-pub fn par_reduce<T: Send>(
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-    fold: impl FnMut(T, T) -> T,
-) -> Option<T> {
-    par_map(n, f).into_iter().reduce(fold)
-}
-
-/// Deterministic chunked f64 sum of `partial(range)` over fixed chunks of
-/// `chunk` elements. The canonical use is a dot product:
-/// `sum_f64(n, 4096, |r| dot(&a[r.clone()], &b[r]))`.
-pub fn sum_f64(len: usize, chunk: usize, partial: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
-    par_reduce(
-        chunk_count(len, chunk),
-        |i| partial(chunk_range(len, chunk, i)),
-        |a, b| a + b,
-    )
-    .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,67 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_smaller_than_chunk_inputs() {
+    fn empty_and_single_inputs() {
         let _g = crate::with_threads(8);
         assert_eq!(par_map(0, |i| i), vec![]);
-        assert_eq!(par_reduce(0, |i| i, |a, b| a + b), None);
-        assert_eq!(sum_f64(0, 4096, |_| unreachable!()), 0.0);
         par_for(0, |_| unreachable!());
         // A single element never reaches the pool.
         assert_eq!(par_map(1, |i| i + 10), vec![10]);
-        // Input shorter than one chunk: exactly one partial.
-        let v = [1.5f64, 2.25, -0.75];
-        let s = sum_f64(v.len(), 4096, |r| v[r].iter().sum());
-        assert_eq!(s.to_bits(), (1.5f64 + 2.25 - 0.75).to_bits());
-    }
-
-    /// Satellite requirement: reduction results are bit-identical for
-    /// 1, 2, and 8 threads.
-    #[test]
-    fn reductions_bit_identical_across_1_2_8_threads() {
-        // Adversarial magnitudes: mixing 1e16 and 1e-3 terms makes any
-        // change in association order visible in the low mantissa bits.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let data: Vec<f64> = (0..100_000)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let frac = (state >> 11) as f64 / (1u64 << 53) as f64;
-                if i % 997 == 0 {
-                    frac * 1e16
-                } else {
-                    frac * 1e-3 - 0.0005
-                }
-            })
-            .collect();
-        let sum_with = |t: usize| {
-            let _g = crate::with_threads(t);
-            sum_f64(data.len(), 4096, |r| data[r].iter().sum::<f64>())
-        };
-        let s1 = sum_with(1);
-        let s2 = sum_with(2);
-        let s8 = sum_with(8);
-        assert_eq!(s1.to_bits(), s2.to_bits());
-        assert_eq!(s1.to_bits(), s8.to_bits());
-        // Sanity: the chunked sum is a real sum (close to the naive one).
-        let naive: f64 = data.iter().sum();
-        assert!((s1 - naive).abs() <= naive.abs() * 1e-12);
-    }
-
-    #[test]
-    fn par_reduce_folds_in_chunk_order() {
-        let _g = crate::with_threads(8);
-        // Non-commutative fold exposes any out-of-order merge.
-        let concat = par_reduce(
-            10,
-            |i| i.to_string(),
-            |mut a, b| {
-                a.push('-');
-                a.push_str(&b);
-                a
-            },
-        );
-        assert_eq!(concat.as_deref(), Some("0-1-2-3-4-5-6-7-8-9"));
     }
 }

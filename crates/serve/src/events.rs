@@ -8,10 +8,10 @@
 //! progress reaches the socket the moment the placer emits it.
 
 use std::io::{self, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-use crate::sync::lock_or_recover;
+use crate::sync::{lock_or_recover, Rank, RankedMutex};
 
 #[derive(Debug, Default)]
 struct BufState {
@@ -21,16 +21,19 @@ struct BufState {
 
 /// An append-only event buffer, closed exactly once when its job reaches a
 /// terminal state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventBuf {
-    state: Mutex<BufState>,
+    state: RankedMutex<BufState>,
     grew: Condvar,
 }
 
 impl EventBuf {
     /// A fresh, open buffer.
     pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+        Arc::new(Self {
+            state: RankedMutex::new(Rank::Events, BufState::default()),
+            grew: Condvar::new(),
+        })
     }
 
     /// Appends bytes and wakes tailing readers.
@@ -70,19 +73,12 @@ impl EventBuf {
             if st.closed {
                 return None;
             }
-            match self.grew.wait_timeout(st, patience) {
-                Ok((next, timeout)) => {
-                    st = next;
-                    if timeout.timed_out() {
-                        // Let the caller decide whether to keep waiting (an
-                        // empty slice distinguishes "still open, nothing
-                        // new" from EOF).
-                        return Some(Vec::new());
-                    }
-                }
-                // Treat poison like a timeout: surface an empty tick and
-                // let the caller re-enter through the recovering lock.
-                Err(_poisoned) => return Some(Vec::new()),
+            let (next, timed_out) = st.wait_timeout(&self.grew, patience);
+            st = next;
+            if timed_out {
+                // Let the caller decide whether to keep waiting (an empty
+                // slice distinguishes "still open, nothing new" from EOF).
+                return Some(Vec::new());
             }
         }
     }

@@ -19,8 +19,8 @@
 //! * [`queue`] — bounded priority queue with 429 admission control
 //! * [`cache`] — deterministic LRU result cache
 //! * [`events`] — live per-job progress buffers (chunked JSONL tails)
-//! * [`sync`] — the poison-recovering lock helper every `.lock()` routes
-//!   through (the lock-order analysis' single choke point)
+//! * [`sync`] — ranked mutexes and the poison-recovering lock helper
+//!   every acquisition routes through (a debug-build lock-order check)
 //! * [`spool`] — crash-safe on-disk artifact layout
 //! * [`server`] — the daemon: accept loop, workers, endpoints
 //! * [`client`] — minimal client used by `complx-loadgen` and the tests
@@ -29,16 +29,15 @@
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(
+    forbid(
         clippy::unwrap_used,
         clippy::expect_used,
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented,
-        clippy::float_cmp,
-        clippy::float_cmp_const
-    )
+        clippy::unimplemented
+    ),
+    deny(clippy::float_cmp, clippy::float_cmp_const)
 )]
 
 pub mod cache;

@@ -31,7 +31,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -50,7 +50,7 @@ use crate::http::{self, HttpError, Request};
 use crate::job::{Job, JobState, JobTable, Priority};
 use crate::queue::JobQueue;
 use crate::spool;
-use crate::sync::lock_or_recover;
+use crate::sync::{lock_or_recover, Rank, RankedMutex};
 
 /// How long a silent events streamer waits between liveness ticks.
 const STREAM_PATIENCE: Duration = Duration::from_millis(200);
@@ -107,11 +107,11 @@ struct Stats {
 /// State shared by the accept loop, connection handlers, and workers.
 struct Shared {
     cfg: ServeConfig,
-    jobs: Mutex<JobTable>,
-    queue: Mutex<JobQueue>,
+    jobs: RankedMutex<JobTable>,
+    queue: RankedMutex<JobQueue>,
     wake: Condvar,
-    cache: Mutex<ResultCache>,
-    stats: Mutex<Stats>,
+    cache: RankedMutex<ResultCache>,
+    stats: RankedMutex<Stats>,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     addr: OnceLock<SocketAddr>,
@@ -120,11 +120,11 @@ struct Shared {
 impl Shared {
     fn new(cfg: ServeConfig) -> Self {
         Self {
-            jobs: Mutex::new(JobTable::default()),
-            queue: Mutex::new(JobQueue::new(cfg.queue_capacity)),
+            jobs: RankedMutex::new(Rank::Jobs, JobTable::default()),
+            queue: RankedMutex::new(Rank::Queue, JobQueue::new(cfg.queue_capacity)),
             wake: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
-            stats: Mutex::new(Stats::default()),
+            cache: RankedMutex::new(Rank::Cache, ResultCache::new(cfg.cache_entries)),
+            stats: RankedMutex::new(Rank::Stats, Stats::default()),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
             addr: OnceLock::new(),
@@ -689,10 +689,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                queue = match shared.wake.wait(queue) {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                queue = queue.wait(&shared.wake);
             }
         };
         run_job(shared, id);

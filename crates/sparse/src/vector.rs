@@ -1,29 +1,31 @@
 //! Small dense-vector helpers shared by the solvers.
 //!
-//! The reductions ([`dot`] and the norms built on it) and the in-place
-//! updates ([`axpy`], [`xpby`]) run on the `complx-par` pool for large
-//! inputs. Determinism:
+//! Every helper runs on the calling thread. Split across the `complx-par`
+//! pool they measured 0.79–0.96× at two threads (DESIGN.md §11): a
+//! fork-join per CG iteration cost more than the loop it split.
 //!
-//! * reductions use **fixed chunk boundaries** ([`DOT_CHUNK`] elements,
-//!   a function of the input length only) with partials folded in chunk
-//!   order, so the f64 result is bit-identical for any thread count;
-//! * element-wise updates write each element exactly once, so the
-//!   (thread-count-dependent) slab partition cannot change results;
-//! * the parallel/sequential gate depends only on the input length, never
-//!   on the thread count.
+//! The reductions ([`dot`] and [`norm1`]) still sum an input of
+//! [`PAR_MIN_LEN`] elements or more as fixed [`DOT_CHUNK`]-element
+//! partials folded left to right in chunk order. That is the order the
+//! parallel path summed in, so every result keeps its bits.
 
-use complx_par as par;
-
-/// Inputs shorter than this run the plain sequential loop — the pool's
-/// dispatch overhead dominates below it. Length-only gate: see module docs.
+/// Inputs at least this long are summed as [`DOT_CHUNK`] partials.
 const PAR_MIN_LEN: usize = 8192;
 
-/// Fixed reduction chunk size (in elements). Must not depend on the thread
-/// count, or f64 sums would change with `--threads`.
+/// Fixed reduction chunk size (in elements).
 const DOT_CHUNK: usize = 1024;
 
 fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+fn abs_sum(a: &[f64]) -> f64 {
+    a.iter().map(|x| x.abs()).sum()
+}
+
+/// Folds per-chunk partials left to right: `p0 + p1 + …`.
+fn fold_chunks(partials: impl Iterator<Item = f64>) -> f64 {
+    partials.reduce(|acc, p| acc + p).unwrap_or(0.0)
 }
 
 /// Dot product of two equal-length slices.
@@ -36,7 +38,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     if a.len() < PAR_MIN_LEN {
         return dot_seq(a, b);
     }
-    par::sum_f64(a.len(), DOT_CHUNK, |r| dot_seq(&a[r.clone()], &b[r]))
+    fold_chunks(
+        a.chunks(DOT_CHUNK)
+            .zip(b.chunks(DOT_CHUNK))
+            .map(|(a, b)| dot_seq(a, b)),
+    )
 }
 
 /// Euclidean (L2) norm.
@@ -47,48 +53,14 @@ pub fn norm2(a: &[f64]) -> f64 {
 /// L1 norm (sum of absolute values).
 pub fn norm1(a: &[f64]) -> f64 {
     if a.len() < PAR_MIN_LEN {
-        return a.iter().map(|x| x.abs()).sum();
+        return abs_sum(a);
     }
-    par::sum_f64(a.len(), DOT_CHUNK, |r| {
-        a[r].iter().map(|x| x.abs()).sum::<f64>()
-    })
+    fold_chunks(a.chunks(DOT_CHUNK).map(abs_sum))
 }
 
 /// Infinity norm (maximum absolute value); `0.0` for an empty slice.
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-}
-
-/// Applies `f(x[i], &mut y[i])` to every element pair, splitting the work
-/// into one contiguous slab per runner when the input is large.
-fn elementwise(x: &[f64], y: &mut [f64], f: impl Fn(f64, &mut f64) + Sync) {
-    let n = y.len();
-    let t = par::threads().min(n.max(1));
-    if n < PAR_MIN_LEN || t <= 1 {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            f(*xi, yi);
-        }
-        return;
-    }
-    let base = n / t;
-    let rem = n % t;
-    par::scope(|s| {
-        let mut x_rest = x;
-        let mut y_rest = y;
-        for i in 0..t {
-            let len = base + usize::from(i < rem);
-            let (xa, xb) = x_rest.split_at(len);
-            let (ya, yb) = y_rest.split_at_mut(len);
-            x_rest = xb;
-            y_rest = yb;
-            let f = &f;
-            s.spawn(move || {
-                for (yi, xi) in ya.iter_mut().zip(xa) {
-                    f(*xi, yi);
-                }
-            });
-        }
-    });
 }
 
 /// `y ← y + alpha·x`.
@@ -98,7 +70,9 @@ fn elementwise(x: &[f64], y: &mut [f64], f: impl Fn(f64, &mut f64) + Sync) {
 /// Panics if the slices have different lengths.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    elementwise(x, y, |xi, yi| *yi += alpha * xi);
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
 }
 
 /// `y ← x + beta·y` (the "xpby" update used inside CG).
@@ -108,7 +82,9 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// Panics if the slices have different lengths.
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    elementwise(x, y, |xi, yi| *yi = xi + beta * *yi);
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = xi + beta * *yi;
+    }
 }
 
 #[cfg(test)]
@@ -154,42 +130,22 @@ mod tests {
     }
 
     #[test]
-    fn large_reductions_bit_identical_across_thread_counts() {
-        let n = 3 * PAR_MIN_LEN + 17; // engages the parallel path, ragged tail
+    fn large_reductions_fold_fixed_chunks_in_order() {
+        let n = 3 * PAR_MIN_LEN + 17; // chunked, with a ragged tail
         let a = big(1, n);
         let b = big(2, n);
-        let reference = {
-            let _g = complx_par::with_threads(1);
-            (dot(&a, &b), norm1(&a), norm2(&b))
-        };
-        for t in [2, 8] {
-            let _g = complx_par::with_threads(t);
-            assert_eq!(dot(&a, &b).to_bits(), reference.0.to_bits());
-            assert_eq!(norm1(&a).to_bits(), reference.1.to_bits());
-            assert_eq!(norm2(&b).to_bits(), reference.2.to_bits());
+        // One partial per DOT_CHUNK elements, folded p0 + p1 + … left to
+        // right: the order every earlier result was summed in. Starting
+        // from -0.0 keeps the first partial's bits (-0.0 + p == p).
+        let (mut want_dot, mut want_l1) = (-0.0f64, -0.0f64);
+        for lo in (0..n).step_by(DOT_CHUNK) {
+            let hi = (lo + DOT_CHUNK).min(n);
+            let (a, b) = (&a[lo..hi], &b[lo..hi]);
+            want_dot += a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+            want_l1 += a.iter().map(|x| x.abs()).sum::<f64>();
         }
-    }
-
-    #[test]
-    fn large_updates_bit_identical_across_thread_counts() {
-        let n = 2 * PAR_MIN_LEN + 3;
-        let x = big(3, n);
-        let y0 = big(4, n);
-        let reference = {
-            let _g = complx_par::with_threads(1);
-            let mut y = y0.clone();
-            axpy(0.37, &x, &mut y);
-            xpby(&x, -1.25, &mut y);
-            y
-        };
-        for t in [2, 8] {
-            let _g = complx_par::with_threads(t);
-            let mut y = y0.clone();
-            axpy(0.37, &x, &mut y);
-            xpby(&x, -1.25, &mut y);
-            for (got, want) in y.iter().zip(&reference) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
-        }
+        assert_eq!(dot(&a, &b).to_bits(), want_dot.to_bits());
+        assert_eq!(norm1(&a).to_bits(), want_l1.to_bits());
+        assert_eq!(norm2(&b).to_bits(), dot(&b, &b).sqrt().to_bits());
     }
 }

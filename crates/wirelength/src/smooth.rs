@@ -13,7 +13,7 @@
 //! Outputs are bit-exact functions of the operation order: the skeleton
 //! visits nets in design order, hands each kernel its pins in net order,
 //! and adds the anchor term after every net; each kernel keeps its own
-//! accumulation order into `total` and `grad` (DESIGN.md §20).
+//! accumulation order into `total` and `grad` (DESIGN.md §19).
 
 use complx_netlist::{Design, Placement};
 

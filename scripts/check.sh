@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo health gate: formatting, build, full test suite, clippy (which
-# carries the token-level contracts: no unwrap/expect/panic in library
-# code, no float ==, SAFETY comments, no unordered containers or wall
-# clock in kernel crates), the complx-lint call-graph analyses (lint.toml
-# policy), and a CLI smoke run that validates the observability
-# artifacts. Run from anywhere.
+# Repo health gate: formatting, build, full test suite (which also runs
+# complx-serve's lock-rank check on every acquisition path), clippy
+# (which carries the code contracts: no unwrap/expect/panic in library
+# code, no float ==, SAFETY comments, no unordered containers, wall clock
+# or thread identity on the solve path, no raw .lock() in serve), and a
+# CLI smoke run that validates the observability artifacts. Leaves the
+# working tree as it found it. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,24 +38,11 @@ echo "== clippy: token-level contracts on every target =="
 # (unfulfilled_lint_expectations = "deny").
 cargo clippy -q --workspace --all-targets
 
-echo "== lint: complx-lint call-graph analyses (lint.toml policy) =="
-# One run gates the three interprocedural analyses (nondet-taint,
-# panic-path, lock-order) while emitting the machine-readable
-# complx-lint-report/v1 artifact; the --check-report pass round-trips the
-# artifact through the schema validator, and --waivers prints the
-# active-waiver inventory for the log.
-lint_report=$(mktemp /tmp/complx-lint-report.XXXXXX.json)
-./target/release/complx-lint --json "$lint_report"
-./target/release/complx-lint --check-report "$lint_report"
-rm -f "$lint_report"
-./target/release/complx-lint --waivers -q | sed 's/^/  waiver: /'
-
 echo "== par_kernels: sequential and parallel kernels agree bit for bit =="
-# The harness asserts that a capped CG solve (a netlist-shaped system; two
-# of its three sizes split the dense-vector helpers), the anchored primal
-# step and the projection P_C give identical bits at 1 thread and at the
-# host's core count (at least 2), and prints the speedup table. No thread
-# override: more threads than cores would time oversubscription.
+# The harness asserts that the anchored primal step and the projection P_C
+# give identical bits at 1 thread and at the host's core count (at least
+# 2), and prints the speedup table. No thread override: more threads than
+# cores would time oversubscription.
 ./target/release/par_kernels --scale 8
 
 echo "== CLI smoke run: report + events + profiling validate (4 threads) =="
@@ -174,7 +162,9 @@ printf '\xde\xad\xbe\xef' | dd of="$rdir/run.ckpt" bs=1 seek=64 count=4 conv=not
     -o "$rdir/prev" --resume "$rdir/run.ckpt" --trace "$rdir/trace_prev.csv"
 cmp "$rdir/trace_ref.csv" "$rdir/trace_prev.csv"
 # Perf snapshot: checkpointed-run and resume wall times, in the same
-# complx-bench/v1 schema the placer trajectory uses (validated below).
+# complx-bench/v1 schema the placer trajectory uses. It is written to the
+# temp dir and validated there, so the committed results/BENCH_resume.json
+# stays as it is.
 ckpt_bytes=$(wc -c < "$rdir/ref.ckpt")
 awk -v ref="$t0 $t1" -v res="$t2 $t3" -v bytes="$ckpt_bytes" 'BEGIN {
     split(ref, a, " "); split(res, b, " ");
@@ -187,8 +177,9 @@ awk -v ref="$t0 $t1" -v res="$t2 $t3" -v bytes="$ckpt_bytes" 'BEGIN {
     printf "      \"wall_seconds\": %.3f,\n      \"iterations\": 15,\n", b[2] - b[1];
     printf "      \"extra\": {\"design\": \"smoke\", \"resumed_from_iteration\": 5, \"byte_identical\": true}\n    }\n";
     printf "  ]\n}\n";
-}' > results/BENCH_resume.json
-cat results/BENCH_resume.json
+}' > "$rdir/BENCH_resume.json"
+cat "$rdir/BENCH_resume.json"
+./target/release/bench_check --schema-only "$rdir/BENCH_resume.json"
 
 echo "== serve: placement-as-a-service load test =="
 # A live daemon on an ephemeral port takes ~200 jobs (8 designs x varied
@@ -205,7 +196,7 @@ for _ in $(seq 1 100); do test -s "$sdir/port" && break; sleep 0.1; done
 test -s "$sdir/port"
 ./target/release/complx-loadgen --port "$(cat "$sdir/port")" \
     --jobs 200 --designs 8 --cancels 4 --duplicates 40 --max-iterations 8 \
-    --fetch-dir "$sdir/served" --snapshot results/BENCH_serve.json \
+    --fetch-dir "$sdir/served" --snapshot "$sdir/BENCH_serve.json" \
     --expect-cache-hits --shutdown
 wait "$serve_pid"
 # The served run report is a valid complx-run-report/v1 manifest.
@@ -215,7 +206,9 @@ wait "$serve_pid"
 ./target/release/complx "$sdir/served/input/lg0.aux" -q --max-iterations 8 --threads 1 \
     -o "$sdir/cli"
 cmp "$sdir/cli/lg0.pl" "$sdir/served/solution/lg0.pl"
-cat results/BENCH_serve.json
+# The load test's snapshot, like the resume one, stays in the temp dir.
+cat "$sdir/BENCH_serve.json"
+./target/release/bench_check --schema-only "$sdir/BENCH_serve.json"
 
 echo "== bench: perf trajectory gate =="
 # Every committed snapshot must be valid complx-bench/v1, and a fresh run
