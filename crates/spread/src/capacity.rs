@@ -1,10 +1,13 @@
-//! Obstacle-aware free-capacity map with O(1) rectangle queries.
+//! Obstacle-aware free-capacity map: O(1) bin-aligned queries, and
+//! fractional queries over arbitrary rectangles.
 
 use complx_netlist::{CellKind, Design, Rect};
 
 /// A uniform grid over the core storing free placement area per bin
 /// (bin area minus fixed-obstacle overlap), with 2-D prefix sums so the
-/// free capacity of any bin-aligned sub-rectangle is an O(1) query.
+/// free capacity of any bin-aligned sub-rectangle is an O(1) query
+/// ([`Self::free_in_bins`]). [`Self::free_in_rect`] takes any rectangle
+/// and costs O(bins it covers).
 #[derive(Debug, Clone)]
 pub struct CapacityMap {
     core: Rect,
@@ -118,8 +121,21 @@ impl CapacityMap {
     }
 
     /// Approximate free capacity of an arbitrary rectangle, computed by
-    /// scaling boundary bins fractionally.
+    /// scaling boundary bins fractionally. Costs O(bins in the rectangle).
     pub fn free_in_rect(&self, r: &Rect) -> f64 {
+        self.free_in_rect_by_rows(r, |_, _| {})
+    }
+
+    /// [`Self::free_in_rect`], also calling `row_done(iy, running)` after
+    /// each bin row `iy` of the rectangle's row range, in increasing `iy`,
+    /// with the sum so far. The bins are summed row-major from `0.0`, so
+    /// the running sum after row `iy` is bit for bit the free capacity of
+    /// the rectangle cut at that row's top edge.
+    pub(crate) fn free_in_rect_by_rows(
+        &self,
+        r: &Rect,
+        mut row_done: impl FnMut(usize, f64),
+    ) -> f64 {
         let r = Rect::new(
             r.lx.max(self.core.lx),
             r.ly.max(self.core.ly),
@@ -151,6 +167,7 @@ impl CapacityMap {
                     total += self.bin_free(ix, iy) * ov / bin.area();
                 }
             }
+            row_done(iy, total);
         }
         total
     }

@@ -4,7 +4,7 @@ use complx_netlist::{density::DensityGrid, Design, Placement};
 
 use crate::bisect::spread_in_rect;
 use crate::capacity::CapacityMap;
-use crate::cluster::cluster;
+use crate::cluster::{cluster, SpreadRegion};
 use crate::items::Item;
 use crate::regions::{snap_to_alignments, snap_to_regions};
 use crate::shred::{apply_items, build_items_inflated};
@@ -168,34 +168,26 @@ impl FeasibilityProjection {
         // same pre-spread snapshot; results are written back in region
         // order. The merge order makes the outcome identical for any
         // thread count (with one thread the jobs run inline, in order).
+        let members = region_members(&caps, &regions, &items);
         let items_ref = &items;
         let car = complx_obs::carrier();
-        let spread_results: Vec<(Vec<usize>, Vec<Item>)> =
-            complx_par::par_map(regions.len(), |ri| {
-                let _attached = car.attach();
-                let _sp = complx_obs::span("chunks");
-                if self
-                    .cancel
-                    .as_ref()
-                    .is_some_and(complx_par::CancelToken::is_cancelled)
-                {
-                    return (Vec::new(), Vec::new());
-                }
-                let rect = regions[ri].rect(&caps);
-                let mut local: Vec<Item> = Vec::new();
-                let mut ids: Vec<usize> = Vec::new();
-                for (i, it) in items_ref.iter().enumerate() {
-                    if it.x >= rect.lx && it.x < rect.hx && it.y >= rect.ly && it.y < rect.hy {
-                        local.push(*it);
-                        ids.push(i);
-                    }
-                }
-                spread_in_rect(&caps, &mut local, rect);
-                (ids, local)
-            });
-        for (ids, moved) in &spread_results {
-            for (k, &i) in ids.iter().enumerate() {
-                items[i] = moved[k];
+        let spread_results: Vec<Vec<Item>> = complx_par::par_map(regions.len(), |ri| {
+            let _attached = car.attach();
+            let _sp = complx_obs::span("chunks");
+            if self
+                .cancel
+                .as_ref()
+                .is_some_and(complx_par::CancelToken::is_cancelled)
+            {
+                return Vec::new();
+            }
+            let mut local: Vec<Item> = members[ri].iter().map(|&i| items_ref[i as usize]).collect();
+            spread_in_rect(&caps, &mut local, regions[ri].rect(&caps));
+            local
+        });
+        for (ids, moved) in members.iter().zip(&spread_results) {
+            for (&i, it) in ids.iter().zip(moved) {
+                items[i as usize] = *it;
             }
         }
 
@@ -230,6 +222,41 @@ impl FeasibilityProjection {
         let n = design.movable_cells().len().max(1) as f64;
         ((n / self.cells_per_bin).sqrt().ceil() as usize).clamp(2, 1024)
     }
+}
+
+/// The items whose centers lie in each region's rect (half-open), in
+/// ascending index order, gathered in one pass over the items.
+///
+/// An item's bin, rounded from its center, can sit one bin off a region
+/// edge, so the regions of the 3 × 3 bins around it are candidates and the
+/// rect test decides. The regions are disjoint, so at most one holds it.
+fn region_members(caps: &CapacityMap, regions: &[SpreadRegion], items: &[Item]) -> Vec<Vec<u32>> {
+    const NONE: u32 = u32::MAX;
+    let (nx, ny) = (caps.nx(), caps.ny());
+    let mut region_of_bin = vec![NONE; nx * ny];
+    for (ri, r) in regions.iter().enumerate() {
+        for iy in r.y0..r.y1 {
+            region_of_bin[iy * nx + r.x0..iy * nx + r.x1].fill(ri as u32);
+        }
+    }
+    let rects: Vec<_> = regions.iter().map(|r| r.rect(caps)).collect();
+    let mut members = vec![Vec::new(); regions.len()];
+    for (i, it) in items.iter().enumerate() {
+        let (ix, iy) = caps.bin_of(it.x, it.y);
+        let holder = (iy.saturating_sub(1)..(iy + 2).min(ny))
+            .flat_map(|qy| (ix.saturating_sub(1)..(ix + 2).min(nx)).map(move |qx| qy * nx + qx))
+            .map(|b| region_of_bin[b])
+            .find(|&ri| {
+                ri != NONE && {
+                    let rect = &rects[ri as usize];
+                    it.x >= rect.lx && it.x < rect.hx && it.y >= rect.ly && it.y < rect.hy
+                }
+            });
+        if let Some(ri) = holder {
+            members[ri as usize].push(i as u32);
+        }
+    }
+    members
 }
 
 impl Projection for FeasibilityProjection {
@@ -390,6 +417,47 @@ mod tests {
                     "y[{i}] differs at {t} threads"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn region_members_match_a_scan_of_every_region() {
+        let d = GeneratorConfig::ispd2006_like("members", 3, 800, 0.7).generate();
+        let caps = CapacityMap::new(&d, 13, 13);
+        let mut items = build_items_inflated(&d, &d.initial_placement(), true, None);
+        // Four hot spots, one per quadrant.
+        let core = d.core();
+        for (i, it) in items.iter_mut().enumerate() {
+            it.x = core.lx + core.width() * [0.2, 0.8][i % 2];
+            it.y = core.ly + core.height() * [0.2, 0.8][i / 2 % 2];
+        }
+        let regions = cluster(&caps, &items, 0.7);
+        assert!(regions.len() > 1);
+        // Items on, just inside and just outside every region edge.
+        for r in &regions {
+            let rect = r.rect(&caps);
+            for x in [rect.lx, rect.hx, rect.lx.next_down(), rect.hx.next_down()] {
+                for y in [rect.ly, rect.hy, rect.ly.next_up(), rect.hy.next_down()] {
+                    items.push(Item {
+                        x,
+                        y,
+                        width: 1.0,
+                        height: 1.0,
+                        owner: 0,
+                    });
+                }
+            }
+        }
+        let members = region_members(&caps, &regions, &items);
+        for (r, got) in regions.iter().zip(&members) {
+            let rect = r.rect(&caps);
+            let want: Vec<u32> = (0..items.len() as u32)
+                .filter(|&i| {
+                    let it = &items[i as usize];
+                    it.x >= rect.lx && it.x < rect.hx && it.y >= rect.ly && it.y < rect.hy
+                })
+                .collect();
+            assert_eq!(got, &want, "{r:?}");
         }
     }
 
