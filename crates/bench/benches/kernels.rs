@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use complx_legalize::{DetailedPlacer, Legalizer};
 use complx_netlist::generator::GeneratorConfig;
-use complx_sparse::{CgSolver, TripletMatrix};
+use complx_sparse::{CgScratch, CgSolver, TripletMatrix};
 use complx_spread::FeasibilityProjection;
 use complx_wirelength::{InterconnectModel, QuadraticModel};
 
@@ -24,12 +24,14 @@ fn bench_cg(c: &mut Criterion) {
     }
     let a = t.to_csr();
     let b = vec![1.0; n];
+    let mut scratch = CgScratch::default();
     c.bench_function("cg_poisson_5000", |bench| {
         bench.iter(|| {
             let mut x = vec![0.0; n];
-            let stats = CgSolver::new()
-                .with_tolerance(1e-6)
-                .solve(&a, &b, &mut x, None);
+            let stats =
+                CgSolver::new()
+                    .with_tolerance(1e-6)
+                    .solve(&a, &b, &mut x, &mut scratch, None);
             black_box(stats.iterations)
         })
     });

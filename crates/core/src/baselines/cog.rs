@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use complx_legalize::{DetailedPlacer, Legalizer};
 use complx_netlist::{hpwl, CellId, CellKind, Design, Placement, Point};
-use complx_sparse::{CgSolver, TripletMatrix};
+use complx_sparse::{CgScratch, CgSolver, TripletMatrix};
 use complx_wirelength::{decompose_net, Edge, NetModel, VarIndex};
 
 use complx_obs as obs;
@@ -423,11 +423,13 @@ fn solve_axis_pair(
         let a = q.to_csr();
         let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
         let mut x: Vec<f64> = (0..n).map(|v| coord(index.cell(v))).collect();
-        axis_stats.push(
-            CgSolver::new()
-                .with_tolerance(1e-5)
-                .solve(&a, &rhs, &mut x, None),
-        );
+        axis_stats.push(CgSolver::new().with_tolerance(1e-5).solve(
+            &a,
+            &rhs,
+            &mut x,
+            &mut CgScratch::default(),
+            None,
+        ));
 
         let core = design.core();
         for (v, &xi) in x.iter().enumerate() {

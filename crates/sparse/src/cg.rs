@@ -1,7 +1,7 @@
 //! Jacobi-preconditioned Conjugate Gradient.
 
 use crate::csr::CsrMatrix;
-use crate::vector::{axpy, dot, norm2, xpby};
+use crate::vector::{dot, norm2, reduction_chunk};
 
 /// How a CG solve broke down, when it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +42,19 @@ pub struct SolveStats {
     pub clamped_diagonals: usize,
 }
 
+/// The vectors of one CG solve, reused across solves: the inverse Jacobi
+/// diagonal, the residual `r`, the preconditioned residual `z`, the search
+/// direction `p` and `A·p`. Every vector is refilled before it is read, so
+/// a scratch carries nothing from one solve to the next.
+#[derive(Debug, Clone, Default)]
+pub struct CgScratch {
+    inv_diag: Vec<f64>,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+}
+
 /// A Jacobi-preconditioned Conjugate Gradient solver for SPD systems.
 ///
 /// Placement matrices are diagonally dominant Laplacians plus positive
@@ -55,14 +68,17 @@ pub struct SolveStats {
 /// # Example
 ///
 /// ```
-/// use complx_sparse::{CgSolver, TripletMatrix};
+/// use complx_sparse::{CgScratch, CgSolver, TripletMatrix};
 ///
 /// let mut t = TripletMatrix::new(2);
 /// t.add(0, 0, 2.0);
 /// t.add(1, 1, 8.0);
 /// let a = t.to_csr();
 /// let mut x = vec![0.0; 2];
-/// let stats = CgSolver::new().with_tolerance(1e-12).solve(&a, &[2.0, 8.0], &mut x, None);
+/// let mut scratch = CgScratch::default();
+/// let stats = CgSolver::new()
+///     .with_tolerance(1e-12)
+///     .solve(&a, &[2.0, 8.0], &mut x, &mut scratch, None);
 /// assert!(stats.converged);
 /// assert!((x[0] - 1.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9);
 /// ```
@@ -107,7 +123,9 @@ impl CgSolver {
         self.tolerance
     }
 
-    /// Solves `A·x = b`, using the incoming `x` as warm start.
+    /// Solves `A·x = b`, using the incoming `x` as warm start and
+    /// `scratch` for the solver's vectors (a reused scratch allocates
+    /// nothing once it has grown to `a.dim()`).
     ///
     /// `A` must be symmetric positive-definite for convergence guarantees;
     /// this is not checked (it would cost more than the solve). Breakdown —
@@ -132,9 +150,10 @@ impl CgSolver {
         a: &CsrMatrix,
         b: &[f64],
         x: &mut [f64],
+        scratch: &mut CgScratch,
         cancel: Option<&complx_par::CancelToken>,
     ) -> SolveStats {
-        let stats = self.solve_inner(a, b, x, cancel);
+        let stats = self.solve_inner(a, b, x, scratch, cancel);
         // Feed the armed observability pipeline, if any (no-ops otherwise).
         complx_obs::add("cg.solves", 1);
         complx_obs::add("cg.iterations", stats.iterations as u64);
@@ -150,6 +169,7 @@ impl CgSolver {
         a: &CsrMatrix,
         b: &[f64],
         x: &mut [f64],
+        scratch: &mut CgScratch,
         cancel: Option<&complx_par::CancelToken>,
     ) -> SolveStats {
         let n = a.dim();
@@ -169,19 +189,23 @@ impl CgSolver {
         // Jacobi preconditioner with a guard: a structurally-zero or
         // negative diagonal (singular/indefinite row) falls back to the
         // identity on that row instead of dividing by zero.
+        let CgScratch {
+            inv_diag,
+            r,
+            z,
+            p,
+            ap,
+        } = scratch;
         let mut clamped = 0usize;
-        let inv_diag: Vec<f64> = a
-            .diagonal_ref()
-            .iter()
-            .map(|&d| {
-                if d > f64::MIN_POSITIVE && d.is_finite() {
-                    1.0 / d
-                } else {
-                    clamped += 1;
-                    1.0
-                }
-            })
-            .collect();
+        inv_diag.clear();
+        inv_diag.extend(a.diagonal_ref().iter().map(|&d| {
+            if d > f64::MIN_POSITIVE && d.is_finite() {
+                1.0 / d
+            } else {
+                clamped += 1;
+                1.0
+            }
+        }));
 
         let max_iter = if self.max_iterations == 0 {
             10 * n + 100
@@ -217,12 +241,13 @@ impl CgSolver {
         }
 
         // r = b − A·x
-        let mut r = vec![0.0; n];
-        a.mul_vec(x, &mut r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
+        r.clear();
+        r.resize(n, 0.0);
+        a.mul_vec(x, r);
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
         }
-        let mut res = norm2(&r) / b_norm;
+        let mut res = norm2(r) / b_norm;
         if !res.is_finite() {
             // The matrix itself contains non-finite entries (A·x broke even
             // though x was finite). Report rather than iterate on garbage.
@@ -236,10 +261,13 @@ impl CgSolver {
         }
 
         // z = M⁻¹ r ; p = z
-        let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, di)| ri * di).collect();
-        let mut p = z.clone();
-        let mut rz = dot(&r, &z);
-        let mut ap = vec![0.0; n];
+        z.clear();
+        z.extend(r.iter().zip(&*inv_diag).map(|(ri, di)| ri * di));
+        p.clear();
+        p.extend_from_slice(z);
+        let mut rz = dot(r, z);
+        ap.clear();
+        ap.resize(n, 0.0);
 
         let mut iterations = 0;
         let mut breakdown = None;
@@ -250,8 +278,8 @@ impl CgSolver {
                 complx_obs::add("cg.cancelled", 1);
                 break;
             }
-            a.mul_vec(&p, &mut ap);
-            let pap = dot(&p, &ap);
+            a.mul_vec(p, ap);
+            let pap = dot(p, ap);
             if !pap.is_finite() {
                 breakdown = Some(CgBreakdown::NonFinite);
                 break;
@@ -263,23 +291,18 @@ impl CgSolver {
                 break;
             }
             let alpha = rz / pap;
-            axpy(-alpha, &ap, &mut r);
-            for i in 0..n {
-                z[i] = r[i] * inv_diag[i];
-            }
-            let rz_new = dot(&r, &z);
+            let (rz_new, rr) = update_residual(alpha, ap, inv_diag, r, z);
             iterations += 1;
-            let res_new = norm2(&r) / b_norm;
+            let res_new = rr.sqrt() / b_norm;
             if !res_new.is_finite() || !rz_new.is_finite() {
                 // x is only stepped after this check, so it still holds
                 // the last finite iterate.
                 breakdown = Some(CgBreakdown::NonFinite);
                 break;
             }
-            axpy(alpha, &p, x);
             let beta = rz_new / rz;
             rz = rz_new;
-            xpby(&z, beta, &mut p);
+            step(alpha, beta, z, p, x);
             res = res_new;
         }
 
@@ -290,6 +313,47 @@ impl CgSolver {
             breakdown,
             clamped,
         )
+    }
+}
+
+/// The residual update of one CG iteration in one pass: `r ← r − α·ap`,
+/// `z ← r∘d⁻¹`, and returns `(r·z, r·r)`, each summed exactly as
+/// [`dot`] sums it (the same chunks, each partial from `-0.0`, folded in
+/// chunk order).
+fn update_residual(
+    alpha: f64,
+    ap: &[f64],
+    inv_diag: &[f64],
+    r: &mut [f64],
+    z: &mut [f64],
+) -> (f64, f64) {
+    let neg_alpha = -alpha;
+    let chunk = reduction_chunk(r.len());
+    let (mut rz, mut rr) = (-0.0f64, -0.0f64);
+    let parts = r
+        .chunks_mut(chunk)
+        .zip(z.chunks_mut(chunk))
+        .zip(ap.chunks(chunk).zip(inv_diag.chunks(chunk)));
+    for ((r, z), (ap, d)) in parts {
+        let (mut part_rz, mut part_rr) = (-0.0f64, -0.0f64);
+        for (((ri, zi), api), di) in r.iter_mut().zip(z.iter_mut()).zip(ap).zip(d) {
+            *ri += neg_alpha * api;
+            *zi = *ri * di;
+            part_rz += *ri * *zi;
+            part_rr += *ri * *ri;
+        }
+        rz += part_rz;
+        rr += part_rr;
+    }
+    (rz, rr)
+}
+
+/// The step of one CG iteration in one pass: `x ← x + α·p`, then
+/// `p ← z + β·p`.
+fn step(alpha: f64, beta: f64, z: &[f64], p: &mut [f64], x: &mut [f64]) {
+    for ((xi, pi), zi) in x.iter_mut().zip(p.iter_mut()).zip(z) {
+        *xi += alpha * *pi;
+        *pi = zi + beta * *pi;
     }
 }
 
@@ -319,7 +383,13 @@ mod tests {
         }
         let a = t.to_csr();
         let mut x = vec![0.0; 3];
-        let stats = CgSolver::new().solve(&a, &[1.0, 2.0, 3.0], &mut x, None);
+        let stats = CgSolver::new().solve(
+            &a,
+            &[1.0, 2.0, 3.0],
+            &mut x,
+            &mut CgScratch::default(),
+            None,
+        );
         assert!(stats.converged);
         assert_eq!(stats.iterations, 1);
         for (xi, bi) in x.iter().zip([1.0, 2.0, 3.0]) {
@@ -336,9 +406,13 @@ mod tests {
         let mut b = vec![0.0; n];
         a.mul_vec(&xs, &mut b);
         let mut x = vec![0.0; n];
-        let stats = CgSolver::new()
-            .with_tolerance(1e-10)
-            .solve(&a, &b, &mut x, None);
+        let stats = CgSolver::new().with_tolerance(1e-10).solve(
+            &a,
+            &b,
+            &mut x,
+            &mut CgScratch::default(),
+            None,
+        );
         assert!(stats.converged, "stats: {stats:?}");
         for (xi, xsi) in x.iter().zip(&xs) {
             assert!((xi - xsi).abs() < 1e-6);
@@ -353,7 +427,7 @@ mod tests {
         let mut b = vec![0.0; n];
         a.mul_vec(&xs, &mut b);
         let mut x = xs.clone();
-        let stats = CgSolver::new().solve(&a, &b, &mut x, None);
+        let stats = CgSolver::new().solve(&a, &b, &mut x, &mut CgScratch::default(), None);
         assert_eq!(stats.iterations, 0);
         assert!(stats.converged);
     }
@@ -362,7 +436,7 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let a = poisson(10);
         let mut x = vec![5.0; 10];
-        let stats = CgSolver::new().solve(&a, &[0.0; 10], &mut x, None);
+        let stats = CgSolver::new().solve(&a, &[0.0; 10], &mut x, &mut CgScratch::default(), None);
         assert!(stats.converged);
         assert!(x.iter().all(|&v| v == 0.0));
     }
@@ -371,7 +445,7 @@ mod tests {
     fn empty_system() {
         let a = TripletMatrix::new(0).to_csr();
         let mut x: Vec<f64> = vec![];
-        let stats = CgSolver::new().solve(&a, &[], &mut x, None);
+        let stats = CgSolver::new().solve(&a, &[], &mut x, &mut CgScratch::default(), None);
         assert!(stats.converged);
     }
 
@@ -383,7 +457,7 @@ mod tests {
         let stats = CgSolver::new()
             .with_tolerance(1e-14)
             .with_max_iterations(3)
-            .solve(&a, &b, &mut x, None);
+            .solve(&a, &b, &mut x, &mut CgScratch::default(), None);
         assert_eq!(stats.iterations, 3);
         assert!(!stats.converged);
     }
@@ -396,7 +470,7 @@ mod tests {
         // divide by zero without the clamp.
         let a = t.to_csr();
         let mut x = vec![0.0; 2];
-        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, None);
+        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, &mut CgScratch::default(), None);
         assert_eq!(stats.clamped_diagonals, 1);
         assert!(x.iter().all(|v| v.is_finite()), "x stays finite: {x:?}");
         // The system is singular, so the solve cannot truly converge; it
@@ -411,7 +485,7 @@ mod tests {
         t.add(1, 1, -1.0); // negative diagonal → not SPD
         let a = t.to_csr();
         let mut x = vec![0.0; 2];
-        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, None);
+        let stats = CgSolver::new().solve(&a, &[1.0, 1.0], &mut x, &mut CgScratch::default(), None);
         assert!(!stats.converged);
         assert!(
             matches!(
@@ -428,7 +502,13 @@ mod tests {
     fn nonfinite_rhs_reports_breakdown_and_keeps_x_finite() {
         let a = poisson(4);
         let mut x = vec![f64::NAN; 4];
-        let stats = CgSolver::new().solve(&a, &[1.0, f64::NAN, 1.0, 1.0], &mut x, None);
+        let stats = CgSolver::new().solve(
+            &a,
+            &[1.0, f64::NAN, 1.0, 1.0],
+            &mut x,
+            &mut CgScratch::default(),
+            None,
+        );
         assert!(!stats.converged);
         assert_eq!(stats.breakdown, Some(CgBreakdown::NonFinite));
         assert!(x.iter().all(|v| v.is_finite()), "x sanitized: {x:?}");
@@ -440,9 +520,13 @@ mod tests {
         let a = poisson(n);
         let b = vec![1.0; n];
         let mut x = vec![f64::INFINITY; n];
-        let stats = CgSolver::new()
-            .with_tolerance(1e-10)
-            .solve(&a, &b, &mut x, None);
+        let stats = CgSolver::new().with_tolerance(1e-10).solve(
+            &a,
+            &b,
+            &mut x,
+            &mut CgScratch::default(),
+            None,
+        );
         assert!(stats.converged, "stats: {stats:?}");
         assert!(stats.breakdown.is_none());
         assert!(x.iter().all(|v| v.is_finite()));
@@ -456,9 +540,13 @@ mod tests {
         let mut x = vec![0.0; n];
         let token = complx_par::CancelToken::new();
         token.cancel();
-        let stats = CgSolver::new()
-            .with_tolerance(1e-12)
-            .solve(&a, &b, &mut x, Some(&token));
+        let stats = CgSolver::new().with_tolerance(1e-12).solve(
+            &a,
+            &b,
+            &mut x,
+            &mut CgScratch::default(),
+            Some(&token),
+        );
         assert_eq!(stats.iterations, 0);
         assert!(!stats.converged);
         assert!(stats.breakdown.is_none(), "cancel is not a breakdown");
@@ -473,8 +561,8 @@ mod tests {
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
         let token = complx_par::CancelToken::new();
-        let s1 = CgSolver::new().solve(&a, &b, &mut x1, None);
-        let s2 = CgSolver::new().solve(&a, &b, &mut x2, Some(&token));
+        let s1 = CgSolver::new().solve(&a, &b, &mut x1, &mut CgScratch::default(), None);
+        let s2 = CgSolver::new().solve(&a, &b, &mut x2, &mut CgScratch::default(), Some(&token));
         assert_eq!(s1, s2);
         for (a1, a2) in x1.iter().zip(&x2) {
             assert_eq!(a1.to_bits(), a2.to_bits());
@@ -494,12 +582,16 @@ mod tests {
         let a = t.to_csr();
         let b = [1e153; 3];
         let mut one_step = vec![0.0; 3];
-        let capped = CgSolver::new()
-            .with_max_iterations(1)
-            .solve(&a, &b, &mut one_step, None);
+        let capped = CgSolver::new().with_max_iterations(1).solve(
+            &a,
+            &b,
+            &mut one_step,
+            &mut CgScratch::default(),
+            None,
+        );
         assert_eq!((capped.iterations, capped.breakdown), (1, None));
         let mut x = vec![0.0; 3];
-        let stats = CgSolver::new().solve(&a, &b, &mut x, None);
+        let stats = CgSolver::new().solve(&a, &b, &mut x, &mut CgScratch::default(), None);
         assert_eq!(stats.breakdown, Some(CgBreakdown::NonFinite));
         assert_eq!(stats.iterations, 2);
         assert!(!stats.converged);

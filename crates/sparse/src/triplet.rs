@@ -1,6 +1,6 @@
 //! Coordinate-format (COO) accumulator used while stamping net models.
 
-use crate::csr::{CsrMatrix, Part};
+use crate::csr::CsrMatrix;
 
 /// A sparse matrix under construction, stored as `(row, col, value)` triplets.
 ///
@@ -114,16 +114,8 @@ impl TripletMatrix {
         self.n = n;
     }
 
-    /// The stored triplets as parallel slices, in insertion order.
-    pub(crate) fn part(&self) -> Part<'_> {
-        Part {
-            rows: &self.rows,
-            cols: &self.cols,
-            vals: &self.vals,
-        }
-    }
-
-    /// Converts to a [`CsrMatrix`], summing duplicate coordinates.
+    /// Converts to a [`CsrMatrix`], summing duplicate coordinates in
+    /// insertion order.
     pub fn to_csr(&self) -> CsrMatrix {
         CsrMatrix::from_triplets(self.n, &self.rows, &self.cols, &self.vals)
     }

@@ -7,13 +7,26 @@
 //! The reductions ([`dot`] and [`norm1`]) still sum an input of
 //! [`PAR_MIN_LEN`] elements or more as fixed [`DOT_CHUNK`]-element
 //! partials folded left to right in chunk order. That is the order the
-//! parallel path summed in, so every result keeps its bits.
+//! parallel path summed in, so every result keeps its bits. Shorter inputs
+//! are one partial. Each partial, and the fold, starts from `-0.0`, as
+//! `Iterator::sum` does, so the first term keeps its bits. The CG solver's
+//! fused passes sum in the same chunks ([`reduction_chunk`]).
 
 /// Inputs at least this long are summed as [`DOT_CHUNK`] partials.
 const PAR_MIN_LEN: usize = 8192;
 
 /// Fixed reduction chunk size (in elements).
 const DOT_CHUNK: usize = 1024;
+
+/// The partial length a reduction over `len` elements sums in: the whole
+/// input below [`PAR_MIN_LEN`], [`DOT_CHUNK`] from it on.
+pub(crate) fn reduction_chunk(len: usize) -> usize {
+    if len < PAR_MIN_LEN {
+        len.max(1)
+    } else {
+        DOT_CHUNK
+    }
+}
 
 fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -23,9 +36,9 @@ fn abs_sum(a: &[f64]) -> f64 {
     a.iter().map(|x| x.abs()).sum()
 }
 
-/// Folds per-chunk partials left to right: `p0 + p1 + …`.
+/// Folds per-chunk partials left to right from `-0.0`: `p0 + p1 + …`.
 fn fold_chunks(partials: impl Iterator<Item = f64>) -> f64 {
-    partials.reduce(|acc, p| acc + p).unwrap_or(0.0)
+    partials.fold(-0.0, |acc, p| acc + p)
 }
 
 /// Dot product of two equal-length slices.
@@ -35,12 +48,10 @@ fn fold_chunks(partials: impl Iterator<Item = f64>) -> f64 {
 /// Panics if the slices have different lengths.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
-    if a.len() < PAR_MIN_LEN {
-        return dot_seq(a, b);
-    }
+    let chunk = reduction_chunk(a.len());
     fold_chunks(
-        a.chunks(DOT_CHUNK)
-            .zip(b.chunks(DOT_CHUNK))
+        a.chunks(chunk)
+            .zip(b.chunks(chunk))
             .map(|(a, b)| dot_seq(a, b)),
     )
 }
@@ -52,10 +63,7 @@ pub fn norm2(a: &[f64]) -> f64 {
 
 /// L1 norm (sum of absolute values).
 pub fn norm1(a: &[f64]) -> f64 {
-    if a.len() < PAR_MIN_LEN {
-        return abs_sum(a);
-    }
-    fold_chunks(a.chunks(DOT_CHUNK).map(abs_sum))
+    fold_chunks(a.chunks(reduction_chunk(a.len())).map(abs_sum))
 }
 
 /// Infinity norm (maximum absolute value); `0.0` for an empty slice.
