@@ -75,7 +75,7 @@ pub struct CaseMemory {
 }
 
 impl CaseMemory {
-    fn to_json(&self) -> JsonValue {
+    fn to_json(self) -> JsonValue {
         JsonValue::object(vec![
             ("allocs", JsonValue::Int(self.allocs as i64)),
             ("alloc_bytes", JsonValue::Int(self.alloc_bytes as i64)),

@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn exit_codes_are_distinct_and_nonzero() {
-        let io = std::io::Error::new(std::io::ErrorKind::Other, "x");
+        let io = std::io::Error::other("x");
         let errs = [
             PlaceError::InvalidDesign { reason: "r".into() },
             PlaceError::SolverBreakdown {

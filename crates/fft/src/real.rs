@@ -163,9 +163,9 @@ mod tests {
         let mut out = vec![0.0; n];
         let mut scratch = Vec::new();
         plan.cos_forward(&x, &mut out, &mut scratch);
-        for k in 0..n {
+        for (k, &got) in out.iter().enumerate() {
             let want = naive_cos_forward(&x, k);
-            assert!((out[k] - want).abs() < 1e-10, "k={k}: {} vs {want}", out[k]);
+            assert!((got - want).abs() < 1e-10, "k={k}: {got} vs {want}");
         }
     }
 

@@ -35,13 +35,13 @@ fn naive_dft(x: &[Complex]) -> Vec<Complex> {
 fn ramp_8_point_matches_hand_computed_fixture() {
     let want = [
         (28.0, 0.0),
-        (-4.0, 9.656_854_249_492_380), // 4·(1 + √2)
+        (-4.0, 9.656_854_249_492_38), // 4·(1 + √2)
         (-4.0, 4.0),
         (-4.0, 1.656_854_249_492_380_6), // 4·(√2 − 1)
         (-4.0, 0.0),
         (-4.0, -1.656_854_249_492_380_6),
         (-4.0, -4.0),
-        (-4.0, -9.656_854_249_492_380),
+        (-4.0, -9.656_854_249_492_38),
     ];
     let plan = FftPlan::new(8);
     let mut buf: Vec<Complex> = (0..8).map(|j| Complex::new(j as f64, 0.0)).collect();
@@ -60,7 +60,7 @@ fn ramp_8_point_matches_hand_computed_fixture() {
 /// every power-of-two size from 2 through 256.
 #[test]
 fn matches_naive_dft_on_sizes_2_through_256() {
-    let mut rng = StdRng::seed_from_u64(0x0fF7_2024);
+    let mut rng = StdRng::seed_from_u64(0x0FF7_2024);
     for lg in 1..=8 {
         let n = 1usize << lg;
         let x: Vec<Complex> = (0..n)

@@ -195,9 +195,9 @@ pub fn abacus_legalize(design: &Design, rows: &RowLayout, placement: &mut Placem
     }
 
     // Write back final positions.
-    for r in 0..num_rows {
+    for (r, row_states) in states.iter().enumerate() {
         let yc = rows.row_center(r);
-        for st in &states[r] {
+        for st in row_states {
             for (raw, lx) in st.positions() {
                 let id = complx_netlist::CellId::from_index(raw as usize);
                 let w = design.cell(id).width();

@@ -87,8 +87,8 @@ impl<'a> RowState<'a> {
             cells[r].push(id);
             row_of[id.index()] = r;
         }
-        for r in 0..cells.len() {
-            cells[r].sort_by(|&a, &b| placement.position(a).x.total_cmp(&placement.position(b).x));
+        for row in &mut cells {
+            row.sort_by(|&a, &b| placement.position(a).x.total_cmp(&placement.position(b).x));
         }
         Self {
             design,

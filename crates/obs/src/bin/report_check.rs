@@ -83,17 +83,17 @@ fn check_memory_section(path: &str, mem: &JsonValue) -> Result<(), String> {
 /// durations.
 fn check_timeline_section(path: &str, tl: &JsonValue) -> Result<(), String> {
     let err = |msg: String| Err(format!("{path}: extra.timeline: {msg}"));
-    if !tl
+    if tl
         .get("capacity")
         .and_then(JsonValue::as_i64)
-        .is_some_and(|c| c > 0)
+        .is_none_or(|c| c <= 0)
     {
         return err("`capacity` must be a positive integer".to_string());
     }
-    if !tl
+    if tl
         .get("dropped")
         .and_then(JsonValue::as_i64)
-        .is_some_and(|d| d >= 0)
+        .is_none_or(|d| d < 0)
     {
         return err("`dropped` must be a non-negative integer".to_string());
     }

@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn jobs_borrow_and_mutate_local_data() {
         let _g = crate::with_threads(4);
-        let data = vec![1u64, 2, 3, 4, 5, 6, 7, 8];
+        let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
         let total = AtomicU64::new(0);
         scope(|s| {
             for chunk in data.chunks(3) {

@@ -139,7 +139,7 @@ fn main() -> ExitCode {
 
     let started = Instant::now();
     let designs: Vec<Design> = (0..designs)
-        .map(|i| GeneratorConfig::small(&format!("lg{i}"), 9000 + i as u64).generate())
+        .map(|i| GeneratorConfig::small(format!("lg{i}"), 9000 + i as u64).generate())
         .collect();
     let frames: Vec<Vec<u8>> = match designs
         .iter()

@@ -128,8 +128,10 @@ fn served_result_is_byte_identical_to_direct_solve() {
     // Direct in-process solve of the same parsed bundle, same config,
     // different thread budget — the contract says bytes still match.
     let parsed = bookshelf::read_aux(bundle_dir.join("e2eid.aux")).expect("parse back");
-    let mut config = PlacerConfig::default();
-    config.max_iterations = 6;
+    let config = PlacerConfig {
+        max_iterations: 6,
+        ..PlacerConfig::default()
+    };
     let mut req = SolveRequest::new(config);
     req.threads = Some(1);
     let arts = solve(&parsed.design, req).expect("direct solve");

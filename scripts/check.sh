@@ -35,8 +35,9 @@ echo "== clippy: token-level contracts on every target =="
 # binaries too), undocumented_unsafe_blocks and the per-crate clippy.toml
 # disallowed-types/-methods lists are denied workspace-wide, and an
 # #[expect] that suppresses nothing fails the build
-# (unfulfilled_lint_expectations = "deny").
-cargo clippy -q --workspace --all-targets
+# (unfulfilled_lint_expectations = "deny"). `-D warnings` fails the stage
+# on clippy's default (warn-level) lints too, so they cannot pile up.
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== par_kernels: sequential and parallel kernels agree bit for bit =="
 # The harness asserts that the anchored primal step and the projection P_C

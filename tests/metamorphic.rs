@@ -323,7 +323,7 @@ fn electro_field_vanishes_on_uniform_density() {
     for j in 0..16 {
         for i in 0..16 {
             let id = b
-                .add_cell(&format!("u{i}_{j}"), 1.0, 1.0, CellKind::Movable)
+                .add_cell(format!("u{i}_{j}"), 1.0, 1.0, CellKind::Movable)
                 .unwrap();
             ids.push(id);
         }
