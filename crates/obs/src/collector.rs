@@ -608,17 +608,29 @@ impl Carrier {
     /// Arms the current thread as a worker for the carrier's pipeline
     /// until the guard drops (typically the duration of one pool job).
     ///
-    /// Returns an inert guard when the carrier itself is inert, or when
-    /// this thread already records into the carrier's pipeline at the
-    /// carrier's span path (the scope caller running its own job inline,
-    /// or a worker draining a job it spawned itself). A thread recording
-    /// anywhere else — its own [`install`]ed pipeline at another path, a
-    /// job of another pipeline — is suspended until the guard drops, so a
-    /// job's probes land under the path it was spawned from whichever
-    /// thread runs it.
+    /// Returns an inert guard when this thread already records into the
+    /// carrier's pipeline at the carrier's span path (the scope caller
+    /// running its own job inline, or a worker draining a job it spawned
+    /// itself), or when neither the carrier nor the thread records. A
+    /// thread recording anywhere else — its own [`install`]ed pipeline at
+    /// another path, a job of another pipeline — is suspended until the
+    /// guard drops, so a job's probes land under the path it was spawned
+    /// from whichever thread runs it; a job spawned where nothing
+    /// recorded records nothing.
     pub fn attach(&self) -> CarrierGuard {
         let Some(inner) = &self.inner else {
-            return CarrierGuard::default();
+            if !enabled() && !worker_enabled() {
+                return CarrierGuard::default();
+            }
+            let resume_local = enabled();
+            ACTIVE.with(|a| a.set(false));
+            WORKER_ACTIVE.with(|a| a.set(false));
+            let outer = WORKER.with(|w| w.borrow_mut().take());
+            return CarrierGuard {
+                armed: true,
+                resume_local,
+                outer,
+            };
         };
         if records_at(inner) {
             return CarrierGuard::default();
@@ -848,6 +860,30 @@ mod tests {
             "recorded locally, not via carrier"
         );
         assert_eq!(h.counter("mine"), 1);
+    }
+
+    #[test]
+    fn armed_thread_records_nothing_of_a_disarmed_job() {
+        // A carrier captured where nothing records, attached on a thread
+        // that records (an armed caller draining the pool's queue): the
+        // job's probes go nowhere, and the thread's own recording resumes.
+        let car = carrier();
+        install(Vec::new());
+        {
+            let _outer = span("mine");
+            {
+                let _g = car.attach();
+                let _s = span("foreign");
+                add("foreign", 1);
+                assert!(!enabled());
+            }
+            assert!(enabled());
+            let _inner = span("after");
+        }
+        let h = harvest().expect("installed");
+        assert!(h.phases.iter().all(|p| !p.path.contains("foreign")));
+        assert_eq!(h.counter("foreign"), 0);
+        assert!(h.phase("mine/after").is_some());
     }
 
     #[test]
