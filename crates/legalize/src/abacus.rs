@@ -1,17 +1,22 @@
 //! Abacus row-based least-displacement legalization
 //! (Spindler et al., "Abacus: fast legalization of standard cell circuits
 //! with minimal movement").
+//!
+//! A trial insertion is read-only: it walks the segment's cluster stack
+//! with the merge arithmetic of the real insertion, so no trial clones or
+//! allocates, and each segment keeps its placed width as a running sum.
 
 use complx_netlist::{CellKind, Design, Placement, Point};
 
 use crate::rows::RowLayout;
 
+#[cfg(test)]
+mod reference;
+
 /// One placed cell inside a segment, in packing order.
 #[derive(Debug, Clone, Copy)]
 struct SegCell {
     id: u32,
-    /// Desired left edge.
-    want_lx: f64,
     width: f64,
 }
 
@@ -37,29 +42,32 @@ struct Cluster {
 struct SegmentState {
     cells: Vec<SegCell>,
     clusters: Vec<Cluster>,
+    /// Total width placed, summed in placing order.
+    used: f64,
 }
 
 impl SegmentState {
-    /// Appends a cell and re-clusters; returns the cell's final left edge.
-    fn place(&mut self, cell: SegCell, seg_lx: f64, seg_hx: f64) -> f64 {
+    /// The cluster a cell wanting left edge `want_lx` would end in if
+    /// appended: clamped into the segment, then merged with its
+    /// predecessors while they overlap. Returns it and the number of
+    /// clusters below it that stay.
+    fn collapse(&self, want_lx: f64, width: f64, seg_lx: f64, seg_hx: f64) -> (Cluster, usize) {
         let idx = self.cells.len();
-        self.cells.push(cell);
         let mut c = Cluster {
             first: idx,
             last: idx + 1,
             e: 1.0,
-            q: cell.want_lx,
-            w: cell.width,
+            q: want_lx,
+            w: width,
             x: 0.0,
         };
-        // Collapse: clamp into segment, then merge with predecessor while
-        // overlapping.
+        let mut keep = self.clusters.len();
         loop {
             c.x = (c.q / c.e).clamp(seg_lx, (seg_hx - c.w).max(seg_lx));
-            match self.clusters.pop() {
+            match keep.checked_sub(1).map(|k| self.clusters[k]) {
                 Some(prev) if prev.x + prev.w > c.x + 1e-12 => {
                     // Merge prev ++ c.
-                    let merged = Cluster {
+                    c = Cluster {
                         first: prev.first,
                         last: c.last,
                         e: prev.e + c.e,
@@ -67,39 +75,29 @@ impl SegmentState {
                         w: prev.w + c.w,
                         x: 0.0,
                     };
-                    c = merged;
+                    keep -= 1;
                 }
-                Some(prev) => {
-                    self.clusters.push(prev);
-                    break;
-                }
-                None => break,
+                _ => break,
             }
         }
-        // Final left edge of the appended cell: the cluster start plus the
-        // widths of the cells packed before it (idx is always inside `c`,
-        // whose range ends at idx + 1 through every merge).
-        let x = c.x + (c.first..idx).map(|k| self.cells[k].width).sum::<f64>();
+        (c, keep)
+    }
+
+    /// The final left edge an appended cell would get, leaving the segment
+    /// as it is: the cluster start plus the widths of the cells packed
+    /// before it (the new cell is always its cluster's last).
+    fn trial(&self, want_lx: f64, width: f64, seg_lx: f64, seg_hx: f64) -> f64 {
+        let (c, _) = self.collapse(want_lx, width, seg_lx, seg_hx);
+        c.x + self.cells[c.first..].iter().map(|k| k.width).sum::<f64>()
+    }
+
+    /// Appends a cell and re-clusters.
+    fn place(&mut self, cell: SegCell, want_lx: f64, seg_lx: f64, seg_hx: f64) {
+        let (c, keep) = self.collapse(want_lx, cell.width, seg_lx, seg_hx);
+        self.clusters.truncate(keep);
         self.clusters.push(c);
-        x
-    }
-
-    /// Total width currently placed.
-    fn used(&self) -> f64 {
-        self.cells.iter().map(|c| c.width).sum()
-    }
-
-    /// Final left edges of all cells.
-    fn positions(&self) -> Vec<(u32, f64)> {
-        let mut out = Vec::with_capacity(self.cells.len());
-        for c in &self.clusters {
-            let mut x = c.x;
-            for k in c.first..c.last {
-                out.push((self.cells[k].id, x));
-                x += self.cells[k].width;
-            }
-        }
-        out
+        self.cells.push(cell);
+        self.used += cell.width;
     }
 }
 
@@ -138,6 +136,9 @@ pub fn abacus_legalize(design: &Design, rows: &RowLayout, placement: &mut Placem
 
         let mut best: Option<(f64, usize, usize)> = None; // (cost, row, seg)
         for d in 0..num_rows as isize {
+            // Row distance only grows with `d` on either side, so once no
+            // row at this distance can beat the best, none further can.
+            let mut open = false;
             for sign in [1isize, -1] {
                 if d == 0 && sign < 0 {
                     continue;
@@ -153,42 +154,32 @@ pub fn abacus_legalize(design: &Design, rows: &RowLayout, placement: &mut Placem
                         continue;
                     }
                 }
+                open = true;
                 for (si, seg) in rows.segments(r).iter().enumerate() {
-                    let st = &mut states[r][si];
-                    if st.used() + w > seg.width() + 1e-9 {
+                    let st = &states[r][si];
+                    if st.used + w > seg.width() + 1e-9 {
                         continue;
                     }
-                    // Trial insert on a clone of the cluster stack.
-                    let mut trial = st.clone();
-                    let lx = trial.place(
-                        SegCell {
-                            id: id.index() as u32,
-                            want_lx,
-                            width: w,
-                        },
-                        seg.lx,
-                        seg.hx,
-                    );
+                    let lx = st.trial(want_lx, w, seg.lx, seg.hx);
                     let cost = (lx - want_lx).abs() + dy;
                     if best.is_none_or(|(best_cost, ..)| cost < best_cost) {
                         best = Some((cost, r, si));
                     }
                 }
             }
+            if !open {
+                break;
+            }
         }
 
         match best {
             Some((_, r, si)) => {
                 let seg = rows.segments(r)[si];
-                states[r][si].place(
-                    SegCell {
-                        id: id.index() as u32,
-                        want_lx,
-                        width: w,
-                    },
-                    seg.lx,
-                    seg.hx,
-                );
+                let cell = SegCell {
+                    id: id.index() as u32,
+                    width: w,
+                };
+                states[r][si].place(cell, want_lx, seg.lx, seg.hx);
             }
             None => failures += 1,
         }
@@ -198,10 +189,13 @@ pub fn abacus_legalize(design: &Design, rows: &RowLayout, placement: &mut Placem
     for (r, row_states) in states.iter().enumerate() {
         let yc = rows.row_center(r);
         for st in row_states {
-            for (raw, lx) in st.positions() {
-                let id = complx_netlist::CellId::from_index(raw as usize);
-                let w = design.cell(id).width();
-                placement.set_position(id, Point::new(lx + 0.5 * w, yc));
+            for c in &st.clusters {
+                let mut x = c.x;
+                for k in &st.cells[c.first..c.last] {
+                    let id = complx_netlist::CellId::from_index(k.id as usize);
+                    placement.set_position(id, Point::new(x + 0.5 * k.width, yc));
+                    x += k.width;
+                }
             }
         }
     }
@@ -274,6 +268,53 @@ mod tests {
         assert!((x1 - x2).abs() >= 4.0 - 1e-9, "cells overlap: {x1} {x2}");
         // Centered: mean of centers ≈ contested position.
         assert!((0.5 * (x1 + x2) - 10.0).abs() < 1.0);
+    }
+
+    /// Abacus's read-only trials against the cloning reference: the same
+    /// placement bits and the same failure count, on std-cell designs with
+    /// fixed macros (rows of several segments), mixed-size designs with
+    /// legalized movable macros as blockages, and an over-full design that
+    /// leaves cells unplaced.
+    #[test]
+    fn read_only_trials_match_the_cloning_reference() {
+        use crate::macros::legalize_macros;
+        let mut cases = Vec::new();
+        for seed in 70..73 {
+            cases.push(GeneratorConfig::small("ad", seed).generate());
+            cases.push(GeneratorConfig::ispd2005_like("a5", seed, 1200).generate());
+            cases.push(GeneratorConfig::ispd2006_like("a6", seed, 900, 0.8).generate());
+        }
+        let mut full = GeneratorConfig::small("af", 74);
+        full.utilization = 0.95;
+        cases.push(full.generate());
+        let mut failing = 0;
+        for (i, d) in cases.iter().enumerate() {
+            let core = d.core();
+            let mut spread = d.initial_placement();
+            for (k, &id) in d.movable_cells().iter().enumerate() {
+                let fx = (k as f64 * 0.618_034 + i as f64 * 0.1) % 1.0;
+                let fy = (k as f64 * 0.314_159) % 1.0;
+                let at = Point::new(core.lx + fx * core.width(), core.ly + fy * core.height());
+                spread.set_position(id, at);
+            }
+            for start in [d.initial_placement(), spread] {
+                let mut base = start.clone();
+                let (macro_rects, _) = legalize_macros(d, &mut base);
+                let rows = RowLayout::new(d, &macro_rects);
+                let (mut new, mut old) = (base.clone(), base);
+                let f_new = abacus_legalize(d, &rows, &mut new);
+                let f_old = reference::abacus_legalize(d, &rows, &mut old);
+                assert_eq!(f_new, f_old, "case {i}");
+                failing += usize::from(f_new > 0);
+                let bits = |p: &Placement| {
+                    (p.xs().iter().chain(p.ys()))
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert!(bits(&new) == bits(&old), "case {i}");
+            }
+        }
+        assert!(failing > 0, "no case exercised unplaceable cells");
     }
 
     #[test]

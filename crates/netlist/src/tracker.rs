@@ -85,6 +85,13 @@ impl<'a> HpwlTracker<'a> {
         &self.placement
     }
 
+    /// The cached bounding box `(lx, ly, hx, hy)` of `net`'s pins — equal
+    /// to [`hpwl::net_bbox`] at the working placement (so it reflects
+    /// uncommitted moves), read in O(1).
+    pub fn net_box(&self, net: NetId) -> (f64, f64, f64, f64) {
+        self.boxes[net.index()]
+    }
+
     /// Consumes the tracker, returning the working placement.
     ///
     /// # Panics
@@ -231,6 +238,32 @@ mod tests {
         t.commit();
         let expect = hpwl::weighted_hpwl(&d, t.placement());
         assert!((t.total() - expect).abs() < 1e-6 * expect.max(1.0));
+    }
+
+    #[test]
+    fn net_boxes_match_batch_boxes_through_moves_commits_and_rollbacks() {
+        let (d, p) = setup();
+        let mut t = HpwlTracker::new(&d, p);
+        let same = |t: &HpwlTracker<'_>| {
+            d.net_ids().all(|n| {
+                let (a, b) = (t.net_box(n), hpwl::net_bbox(&d, t.placement(), n));
+                [a.0, a.1, a.2, a.3].map(f64::to_bits) == [b.0, b.1, b.2, b.3].map(f64::to_bits)
+            })
+        };
+        assert!(same(&t));
+        let cells: Vec<_> = d.movable_cells().iter().copied().take(12).collect();
+        for (k, &c) in cells.iter().enumerate() {
+            t.begin();
+            t.move_cell(c, Point::new(3.0 + k as f64, 2.0 + (k % 4) as f64));
+            t.swap_cells(c, cells[(k + 5) % cells.len()]);
+            assert!(same(&t), "open transaction, step {k}");
+            if k % 3 == 0 {
+                t.rollback();
+            } else {
+                t.commit();
+            }
+            assert!(same(&t), "after step {k}");
+        }
     }
 
     #[test]
