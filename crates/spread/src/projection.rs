@@ -171,20 +171,41 @@ impl FeasibilityProjection {
         let members = region_members(&caps, &regions, &items);
         let items_ref = &items;
         let car = complx_obs::carrier();
-        let spread_results: Vec<Vec<Item>> = complx_par::par_map(regions.len(), |ri| {
-            let _attached = car.attach();
-            let _sp = complx_obs::span("chunks");
-            if self
-                .cancel
-                .as_ref()
-                .is_some_and(complx_par::CancelToken::is_cancelled)
-            {
-                return Vec::new();
-            }
-            let mut local: Vec<Item> = members[ri].iter().map(|&i| items_ref[i as usize]).collect();
-            spread_in_rect(&caps, &mut local, regions[ri].rect(&caps));
-            local
-        });
+        let spread = || {
+            complx_par::par_map(regions.len(), |ri| {
+                let _attached = car.attach();
+                let _sp = complx_obs::span("chunks");
+                if self
+                    .cancel
+                    .as_ref()
+                    .is_some_and(complx_par::CancelToken::is_cancelled)
+                {
+                    return Vec::new();
+                }
+                let mut local: Vec<Item> =
+                    members[ri].iter().map(|&i| items_ref[i as usize]).collect();
+                spread_in_rect(&caps, &mut local, regions[ri].rect(&caps));
+                local
+            })
+        };
+        // The `overflow_before` diagnostic reads only the input placement,
+        // so with a second thread it is measured while the regions spread.
+        let before = || DensityGrid::build(design, placement, bins, bins).overflow_ratio(gamma);
+        let (spread_results, overflow_before): (Vec<Vec<Item>>, f64) = if complx_par::threads() > 1
+        {
+            let mut overflow_before = 0.0;
+            let spread_results = complx_par::scope(|s| {
+                s.spawn(|| {
+                    let _attached = car.attach();
+                    let _sp = complx_obs::span("chunks");
+                    overflow_before = before();
+                });
+                spread()
+            });
+            (spread_results, overflow_before)
+        } else {
+            (spread(), before())
+        };
         for (ids, moved) in members.iter().zip(&spread_results) {
             for (&i, it) in ids.iter().zip(moved) {
                 items[i as usize] = *it;
@@ -199,8 +220,6 @@ impl FeasibilityProjection {
         }
 
         // Diagnostics at the same grid resolution.
-        let overflow_before =
-            DensityGrid::build(design, placement, bins, bins).overflow_ratio(gamma);
         let overflow_after = DensityGrid::build(design, &out, bins, bins).overflow_ratio(gamma);
         let distance_l1 = placement.l1_distance(&out);
 
