@@ -64,7 +64,9 @@ fn main() {
         design.name()
     );
     println!("{rendered}");
-    let path = artifact_dir().join("ablation_grid.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("ablation_grid.txt");
     std::fs::write(&path, rendered).expect("artifact write");
     eprintln!("[ablation_grid] wrote {}", path.display());
 }

@@ -81,7 +81,9 @@ fn main() {
     let rendered = table.render();
     println!("λ-schedule ablation over {} benchmarks", designs.len());
     println!("{rendered}");
-    let path = artifact_dir().join("ablation_lambda.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("ablation_lambda.txt");
     std::fs::write(&path, rendered).expect("artifact write");
     eprintln!("[ablation_lambda] wrote {}", path.display());
 }

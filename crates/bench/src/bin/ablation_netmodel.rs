@@ -67,7 +67,9 @@ fn main() {
     let rendered = table.render();
     println!("Interconnect-model ablation (§S1)");
     println!("{rendered}");
-    let path = artifact_dir().join("ablation_netmodel.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("ablation_netmodel.txt");
     std::fs::write(&path, rendered).expect("artifact write");
     eprintln!("[ablation_netmodel] wrote {}", path.display());
 }

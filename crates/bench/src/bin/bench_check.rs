@@ -63,12 +63,18 @@ fn gate(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let fresh = measure_placer_suite(|spec| {
+    let fresh = match measure_placer_suite(|spec| {
         eprintln!(
             "[gate] {}: {} cells @ {} threads",
             spec.name, spec.cells, spec.threads
         );
-    });
+    }) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("bench_check: a bench case failed to place: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let violations = compare(&committed, &fresh, &Tolerances::default());
     if violations.is_empty() {
         println!(

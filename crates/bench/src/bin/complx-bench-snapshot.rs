@@ -25,12 +25,18 @@ fn main() -> ExitCode {
         .nth(1)
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results/BENCH_placer.json"));
-    let snap = measure_placer_suite(|spec| {
+    let snap = match measure_placer_suite(|spec| {
         eprintln!(
             "[bench] {}: {} cells @ {} threads",
             spec.name, spec.cells, spec.threads
         );
-    });
+    }) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("complx-bench-snapshot: a bench case failed to place: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let text = snap.to_json().to_json_pretty();
     if let Err(e) = complx_obs::write_atomic(&out, text.as_bytes()) {
         eprintln!("complx-bench-snapshot: cannot write {}: {e}", out.display());

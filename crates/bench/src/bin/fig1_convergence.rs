@@ -63,7 +63,7 @@ fn main() {
         )
     );
 
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     std::fs::write(dir.join("fig1_trace.csv"), outcome.trace.to_csv()).expect("artifact write");
     let mk = |v: &[f64]| -> Vec<(f64, f64)> {
         v.iter()

@@ -48,7 +48,7 @@ fn main() {
 
     let shreds = build_items(&design, &outcome.upper, true);
     let svg = placement_snapshot(&design, &outcome.upper, Some(&shreds), 800.0);
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     let path = dir.join("fig2_shredding.svg");
     std::fs::write(&path, svg).expect("artifact write");
     println!(

@@ -139,7 +139,7 @@ fn main() {
         );
     }
 
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     std::fs::write(dir.join("fig3_scalability.csv"), csv).expect("artifact write");
     lambda_pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     iter_pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));

@@ -91,7 +91,7 @@ fn main() {
 
     // Render before/after with the region rectangle and constrained cells
     // highlighted.
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     for (tag, design, placement) in [
         ("before", &base, &unconstrained.upper),
         ("after", &constrained_design, &constrained.upper),

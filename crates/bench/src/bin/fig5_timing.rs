@@ -73,7 +73,7 @@ fn main() {
         "total legal HPWL",
         "path delay (STA)",
     ]);
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     let mut path_lengths = Vec::new();
     let mut totals = Vec::new();
     for &w in &[1.0f64, 20.0, 40.0] {

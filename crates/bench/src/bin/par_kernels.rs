@@ -195,7 +195,7 @@ fn main() {
     let rendered = table.render();
     println!("{rendered}");
 
-    let dir = artifact_dir();
+    let dir = artifact_dir().expect("artifact directory must be creatable");
     std::fs::write(dir.join("par_kernels.txt"), &rendered).expect("write table");
     let doc = JsonValue::object(vec![
         ("threads", threads.into()),

@@ -114,7 +114,9 @@ fn main() {
     let rendered = table.render();
     println!("§S2 — self-consistency of P_C (paper: 96.0% / 0.6% / 3.3%)");
     println!("{rendered}");
-    let path = artifact_dir().join("s2_self_consistency.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("s2_self_consistency.txt");
     std::fs::write(&path, rendered).expect("artifact write");
     eprintln!("[s2] wrote {}", path.display());
 }

@@ -83,7 +83,9 @@ fn main() {
         "CoG constraints are linear equalities: they spread globally but are blind to\n\
          obstacles and density, which shows up as movable area left on blockages."
     );
-    let path = artifact_dir().join("s4_cog_comparison.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("s4_cog_comparison.txt");
     std::fs::write(&path, rendered).expect("artifact write");
     eprintln!("[s4] wrote {}", path.display());
 }

@@ -125,7 +125,9 @@ fn main() {
         40 * scale
     );
     println!("{rendered}");
-    let path = artifact_dir().join("table1.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("table1.txt");
     std::fs::write(&path, &rendered).expect("artifact write");
     eprintln!("[table1] wrote {}", path.display());
 }

@@ -102,7 +102,9 @@ fn main() {
         80 * scale
     );
     println!("{rendered}");
-    let path = artifact_dir().join("table2.txt");
+    let path = artifact_dir()
+        .expect("artifact directory must be creatable")
+        .join("table2.txt");
     std::fs::write(&path, &rendered).expect("artifact write");
     eprintln!("[table2] wrote {}", path.display());
 }

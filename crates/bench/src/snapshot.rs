@@ -18,7 +18,7 @@ use std::time::Instant;
 use complx_netlist::generator::GeneratorConfig;
 use complx_netlist::Design;
 use complx_obs::{prof, JsonValue};
-use complx_place::{ComplxPlacer, PlacerConfig, ProjectionBackend};
+use complx_place::{ComplxPlacer, PlaceError, PlacerConfig, ProjectionBackend};
 
 /// Schema identifier every committed benchmark snapshot must carry.
 pub const BENCH_SCHEMA: &str = "complx-bench/v1";
@@ -392,7 +392,12 @@ fn bench_config() -> PlacerConfig {
 /// count and completed a warm-up run, so the measured window contains no
 /// one-time process cost. Memory profiling is armed for the duration of
 /// the run and disarmed again before returning.
-pub fn run_case(spec: &MatrixSpec) -> BenchCase {
+///
+/// # Errors
+///
+/// Returns the placer's error: a generated bench design that fails to
+/// place is a broken placer, and the gate must fail, not soft-fail.
+pub fn run_case(spec: &MatrixSpec) -> Result<BenchCase, PlaceError> {
     let design = bench_design(spec);
     let mut cfg = bench_config();
     cfg.projection = spec.projection;
@@ -402,13 +407,7 @@ pub fn run_case(spec: &MatrixSpec) -> BenchCase {
     prof::reset_mem_counters();
     complx_obs::install(Vec::new());
     let t = Instant::now();
-    #[expect(
-        clippy::panic,
-        reason = "a generated bench design that fails to place is a broken placer; the gate must abort, not soft-fail"
-    )]
-    let outcome = ComplxPlacer::new(cfg)
-        .place(&design)
-        .unwrap_or_else(|e| panic!("bench case {}@{}: {e}", spec.name, spec.threads));
+    let placed = ComplxPlacer::new(cfg).place(&design);
     let wall = t.elapsed().as_secs_f64();
     let harvest = complx_obs::harvest().unwrap_or_default();
     // Process-global totals, not the `place` span's attribution: the
@@ -418,6 +417,7 @@ pub fn run_case(spec: &MatrixSpec) -> BenchCase {
     // regression band needs.
     let totals = prof::mem_totals();
     prof::set_mem_profiling(false);
+    let outcome = placed?;
 
     let phase = |p: &str| harvest.phases.iter().find(|s| s.path == p);
     let mut kernels = Vec::new();
@@ -439,7 +439,7 @@ pub fn run_case(spec: &MatrixSpec) -> BenchCase {
         alloc_bytes: totals.alloc_bytes,
         peak_bytes: totals.peak_bytes,
     });
-    BenchCase {
+    Ok(BenchCase {
         name: spec.name.to_string(),
         threads: spec.threads,
         wall_seconds: wall,
@@ -455,12 +455,16 @@ pub fn run_case(spec: &MatrixSpec) -> BenchCase {
         memory,
         kernels,
         extra: JsonValue::object(vec![("projection", projection_label.into())]),
-    }
+    })
 }
 
 /// Runs the whole placer matrix (with pool prewarm and a warm-up run) and
 /// returns the fresh snapshot.
-pub fn measure_placer_suite(progress: impl Fn(&MatrixSpec)) -> BenchSnapshot {
+///
+/// # Errors
+///
+/// Returns the first case's placer error, as [`run_case`].
+pub fn measure_placer_suite(progress: impl Fn(&MatrixSpec)) -> Result<BenchSnapshot, PlaceError> {
     let max_threads = MATRIX_THREADS.iter().copied().max().unwrap_or(1);
     complx_par::prewarm(max_threads);
     // Warm-up: page in the code, fill the pool, let lazy statics settle, so
@@ -473,12 +477,12 @@ pub fn measure_placer_suite(progress: impl Fn(&MatrixSpec)) -> BenchSnapshot {
     let mut cases = Vec::new();
     for spec in placer_matrix() {
         progress(&spec);
-        cases.push(run_case(&spec));
+        cases.push(run_case(&spec)?);
     }
-    BenchSnapshot {
+    Ok(BenchSnapshot {
         suite: "placer".to_string(),
         cases,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
