@@ -235,6 +235,7 @@ pub fn config_hash(cfg: &PlacerConfig) -> u64 {
         crate::config::ProjectionBackend::Geometric => 0,
         crate::config::ProjectionBackend::Electro => 1,
         crate::config::ProjectionBackend::Diffusion => 2,
+        crate::config::ProjectionBackend::CenterOfGravity => 3,
     });
     f.0
 }

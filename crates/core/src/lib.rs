@@ -36,9 +36,10 @@
 //! assert!(outcome.trace.len() >= 2);
 //! ```
 //!
-//! The paper's SimPL, RQL- and FastPlace-style comparison points are
-//! [`PlacerConfig`] presets of the same loop (Section 5's "special
-//! cases"); [`baselines`] holds the one that is not, the §S4 CoG placer.
+//! The paper's comparison points are [`PlacerConfig`] presets of the same
+//! loop: SimPL, RQL- and FastPlace-style placers (Section 5's "special
+//! cases") and the §S4 center-of-gravity constrained primal-dual placer,
+//! whose constraint set is one more `P_C`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,6 @@
     deny(clippy::float_cmp, clippy::float_cmp_const)
 )]
 
-pub mod baselines;
 mod budget;
 pub mod ckpt;
 mod config;

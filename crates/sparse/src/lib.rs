@@ -6,8 +6,8 @@
 //! the netlist (see the ComPLx paper, Section 2). This crate provides the
 //! minimal, dependency-free substrate for that:
 //!
-//! * [`TripletMatrix`] — a coordinate-format accumulator that nets and anchor
-//!   pseudonets are stamped into,
+//! * [`TripletMatrix`] — a coordinate-format accumulator, the reference
+//!   builder for tests, doc examples and the kernels bench,
 //! * [`CsrMatrix`] — sliced ELLPACK (SELL-8-σ) storage whose
 //!   matrix–vector product sums eight rows in lockstep, bit-identical to a
 //!   row-at-a-time loop,

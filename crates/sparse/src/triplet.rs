@@ -1,13 +1,14 @@
-//! Coordinate-format (COO) accumulator used while stamping net models.
+//! Coordinate-format (COO) accumulator: the reference matrix builder for
+//! tests, doc examples and the kernels bench.
 
 use crate::csr::CsrMatrix;
 
 /// A sparse matrix under construction, stored as `(row, col, value)` triplets.
 ///
-/// Quadratic net models (Bound2Bound, star, clique) are "stamped" into a
-/// `TripletMatrix` one connection at a time; duplicate coordinates are
-/// accumulated (summed) when converting to [`CsrMatrix`]. Anchor pseudonets
-/// add to the diagonal the same way.
+/// Connections are stamped one at a time and duplicate coordinates are
+/// accumulated (summed) when converting to [`CsrMatrix`]. It is the simple
+/// reference builder for tests, doc examples and the kernels bench; the
+/// placer assembles its systems through [`crate::CsrWorkspace`].
 ///
 /// # Example
 ///
@@ -41,16 +42,6 @@ impl TripletMatrix {
         }
     }
 
-    /// Creates an empty accumulator with room for `cap` triplets.
-    pub fn with_capacity(n: usize, cap: usize) -> Self {
-        Self {
-            n,
-            rows: Vec::with_capacity(cap),
-            cols: Vec::with_capacity(cap),
-            vals: Vec::with_capacity(cap),
-        }
-    }
-
     /// The matrix dimension.
     pub fn dim(&self) -> usize {
         self.n
@@ -61,57 +52,39 @@ impl TripletMatrix {
         self.vals.len()
     }
 
-    /// Adds `value` at `(row, col)`. Duplicates accumulate. Returns
-    /// whether the triplet was stored: an exact `0.0` is skipped.
+    /// Adds `value` at `(row, col)`. Duplicates accumulate; an exact `0.0`
+    /// is skipped.
     ///
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) -> bool {
+    pub fn add(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.n && col < self.n, "triplet index out of bounds");
         // Skips explicit structural zeros only;
         // small nonzero values must be stored.
         if value == 0.0 {
-            return false;
+            return;
         }
         self.rows.push(row as u32);
         self.cols.push(col as u32);
         self.vals.push(value);
-        true
     }
 
-    /// Adds `value` to the diagonal entry `(i, i)`; returns whether it was
-    /// stored (see [`Self::add`]).
-    pub fn add_diagonal(&mut self, i: usize, value: f64) -> bool {
-        self.add(i, i, value)
+    /// Adds `value` to the diagonal entry `(i, i)`.
+    pub fn add_diagonal(&mut self, i: usize, value: f64) {
+        self.add(i, i, value);
     }
 
     /// Stamps a two-pin spring of weight `w` between movable variables
     /// `i` and `j`: adds `w` to both diagonal entries and `−w` to both
-    /// off-diagonal entries. This is the Laplacian stamp used by every
-    /// quadratic net model. Returns whether the stamp was stored (all four
-    /// triplets are, unless `w` is `0.0`).
-    pub fn add_connection(&mut self, i: usize, j: usize, w: f64) -> bool {
+    /// off-diagonal entries — the Laplacian stamp of every quadratic net
+    /// model.
+    pub fn add_connection(&mut self, i: usize, j: usize, w: f64) {
         debug_assert!(i != j, "self-connection has no effect on the Laplacian");
-        let stored = self.add(i, i, w);
+        self.add(i, i, w);
         self.add(j, j, w);
         self.add(i, j, -w);
         self.add(j, i, -w);
-        stored
-    }
-
-    /// Removes all triplets, keeping the allocation; dimension is preserved.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.cols.clear();
-        self.vals.clear();
-    }
-
-    /// Removes all triplets and sets the dimension to `n`, keeping the
-    /// allocation.
-    pub fn reset(&mut self, n: usize) {
-        self.clear();
-        self.n = n;
     }
 
     /// Converts to a [`CsrMatrix`], summing duplicate coordinates in
@@ -172,28 +145,5 @@ mod tests {
     fn out_of_bounds_panics() {
         let mut t = TripletMatrix::new(2);
         t.add(2, 0, 1.0);
-    }
-
-    #[test]
-    fn clear_keeps_dimension() {
-        let mut t = TripletMatrix::new(3);
-        t.add(1, 1, 1.0);
-        t.clear();
-        assert_eq!(t.nnz(), 0);
-        assert_eq!(t.dim(), 3);
-        t.add(2, 2, 1.0);
-        t.reset(5);
-        assert_eq!(t.nnz(), 0);
-        assert_eq!(t.dim(), 5);
-    }
-
-    #[test]
-    fn add_reports_whether_stored() {
-        let mut t = TripletMatrix::new(3);
-        assert!(t.add_diagonal(0, 1.0));
-        assert!(!t.add_diagonal(1, 0.0));
-        assert!(t.add_connection(0, 2, f64::NAN));
-        assert!(!t.add_connection(0, 2, -0.0));
-        assert_eq!(t.nnz(), 5);
     }
 }

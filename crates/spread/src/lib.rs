@@ -55,6 +55,7 @@
 mod bisect;
 mod capacity;
 mod cluster;
+mod cog;
 mod diffusion;
 mod electro;
 mod items;
@@ -67,6 +68,7 @@ pub mod shred;
 pub use bisect::spread_in_rect;
 pub use capacity::CapacityMap;
 pub use cluster::{cluster, SpreadRegion};
+pub use cog::CogProjection;
 pub use diffusion::DiffusionProjection;
 pub use electro::{ElectroField, ElectroProjection};
 pub use items::Item;

@@ -54,9 +54,9 @@ mod smooth;
 mod system;
 
 pub use anchors::Anchors;
-pub use b2b::{decompose as decompose_net, Edge, NetModel};
+pub use b2b::{decompose as decompose_net, NetModel};
 pub use model::{InterconnectModel, MinimizeStats};
 pub use smooth::{
     BetaReg, BetaRegModel, Lse, LseModel, Net, NetKernel, PNorm, PNormModel, SmoothModel,
 };
-pub use system::{QuadraticModel, VarIndex};
+pub use system::QuadraticModel;

@@ -5,12 +5,12 @@
 //!   from-first-principles recomputation (HPWL to 1e-9 relative, overflow
 //!   to 1e-6 absolute) — a bug that corrupts both the placement and its
 //!   reported quality cannot hide.
-//! * The baseline presets (SimPL, RQL- and FastPlace-like): their traces
-//!   must satisfy the paper's invariants under the monotone λ rule, the
-//!   RQL- and FastPlace-like legal outputs must pass the oracle's legality
-//!   audit with self-reported metrics matching the oracle's, and all of
-//!   them must land in the same quality ballpark as ComPLx on the same
-//!   instance.
+//! * The baseline presets (SimPL, RQL-, FastPlace-like and CoG-constrained):
+//!   their traces must satisfy the paper's invariants under the λ rule of
+//!   their schedule, the RQL-, FastPlace-like and CoG-constrained legal
+//!   outputs must pass the oracle's legality audit with self-reported
+//!   metrics matching the oracle's, and the force-directed ones must land
+//!   in the same quality ballpark as ComPLx on the same instance.
 //! * Real ComPLx traces must satisfy the paper's invariants (Formula 12
 //!   included) as enforced by `oracle::check_trace`.
 //! * `legalize::legality_report` vs `oracle::audit`: independent overlap
@@ -143,25 +143,42 @@ fn real_simpl_trace_satisfies_monotone_invariants() {
 
 /// A baseline preset's legal output passes the oracle's audit, its
 /// self-reported metrics match the oracle's, and its trace satisfies the
-/// paper's invariants under the monotone λ rule (its schedule, like
-/// SimPL's, may legally exceed the Formula-12 cap).
-fn assert_preset_audit_legal(cfg: PlacerConfig, seed: u64, ctx: &str) {
+/// paper's invariants under `rule` (an arithmetic or geometric schedule,
+/// like SimPL's, may legally exceed the Formula-12 cap, so it is checked
+/// under the monotone rule).
+fn assert_preset_audit_legal(cfg: PlacerConfig, rule: LambdaRule, seed: u64, ctx: &str) {
     let design = design_600(seed);
     let out = ComplxPlacer::new(cfg).place(&design).unwrap();
     assert_metrics_match(&design, &out, ctx);
     let audit = oracle::audit(&design, &out.legal);
     assert!(audit.is_legal(1e-6), "{ctx}: {audit:?}");
-    assert_trace_clean(&out, LambdaRule::Monotone, ctx);
+    assert_trace_clean(&out, rule, ctx);
 }
 
 #[test]
 fn fastplace_baseline_output_is_audit_legal() {
-    assert_preset_audit_legal(PlacerConfig::fastplace_like(), 7, "fastplace");
+    assert_preset_audit_legal(
+        PlacerConfig::fastplace_like(),
+        LambdaRule::Monotone,
+        7,
+        "fastplace",
+    );
 }
 
 #[test]
 fn rql_baseline_output_is_audit_legal() {
-    assert_preset_audit_legal(PlacerConfig::rql_like(), 7, "rql");
+    assert_preset_audit_legal(PlacerConfig::rql_like(), LambdaRule::Monotone, 7, "rql");
+}
+
+#[test]
+fn cog_baseline_output_is_audit_legal() {
+    // The CoG preset keeps ComPLx's schedule, so Formula 12 holds.
+    assert_preset_audit_legal(
+        PlacerConfig::cog_constrained(),
+        LambdaRule::Complx,
+        7,
+        "cog",
+    );
 }
 
 #[test]

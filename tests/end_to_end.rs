@@ -47,11 +47,13 @@ fn complx_beats_or_matches_every_baseline() {
         .place(&design)
         .expect("placement failed");
     // The paper's headline: ComPLx outperforms SimPL (by ~1%; allow a
-    // small tolerance for suite noise) and the force-directed placers.
+    // small tolerance for suite noise) and the force-directed placers, and
+    // (§S4) the CoG-constrained primal-dual placer.
     for (name, cfg, slack) in [
         ("simpl", PlacerConfig::simpl(), 1.03),
         ("rql-like", PlacerConfig::rql_like(), 1.0),
         ("fastplace-like", PlacerConfig::fastplace_like(), 1.0),
+        ("cog-constrained", PlacerConfig::cog_constrained(), 1.0),
     ] {
         let baseline = ComplxPlacer::new(cfg)
             .place(&design)
@@ -79,6 +81,7 @@ fn all_placers_produce_legal_placements_on_mixed_design() {
             max_iterations: 30,
             ..PlacerConfig::rql_like()
         },
+        PlacerConfig::cog_constrained(),
     ];
     for (i, cfg) in configs.into_iter().enumerate() {
         let out = ComplxPlacer::new(cfg)

@@ -11,17 +11,23 @@ use complx_repro::netlist::generator::GeneratorConfig;
 use complx_repro::par;
 use complx_repro::place::{ComplxPlacer, PlacementOutcome, PlacerConfig, ProjectionBackend};
 
-fn place_with(threads: usize, backend: ProjectionBackend) -> PlacementOutcome {
+fn place_cfg(threads: usize, mut cfg: PlacerConfig) -> PlacementOutcome {
     let _g = par::with_threads(threads);
     // 10k cells: movable count clears the vector gate (8192), the B2B net
     // gate (512), the CSR nnz gate (8192), the density cell gate (4096)
     // and the electro charge-gather gate (4096); the FFT grids the electro
     // backend picks at this size clear the butterfly/row gates too.
     let design = GeneratorConfig::ispd2005_like("pardet", 17, 10_000).generate();
-    let mut cfg = PlacerConfig::fast();
     cfg.max_iterations = 6;
-    cfg.projection = backend;
     ComplxPlacer::new(cfg).place(&design).expect("placement")
+}
+
+fn place_with(threads: usize, backend: ProjectionBackend) -> PlacementOutcome {
+    let cfg = PlacerConfig {
+        projection: backend,
+        ..PlacerConfig::fast()
+    };
+    place_cfg(threads, cfg)
 }
 
 fn place_at(threads: usize) -> PlacementOutcome {
@@ -88,6 +94,25 @@ fn electro_placement_bit_identical_across_1_2_8_threads() {
             got.trace.to_csv(),
             reference.trace.to_csv(),
             "electro iteration traces differ at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn cog_placement_bit_identical_across_1_2_8_threads() {
+    // The CoG-constrained preset: the same primal step, and a `P_C` that
+    // sorts and shifts sequentially.
+    let reference = place_cfg(1, PlacerConfig::cog_constrained());
+    for threads in [2, 8] {
+        let got = place_cfg(threads, PlacerConfig::cog_constrained());
+        assert_eq!(got.iterations, reference.iterations);
+        assert_eq!(got.stop_reason, reference.stop_reason);
+        assert_bits_equal(got.legal.xs(), reference.legal.xs(), "legal.x", threads);
+        assert_bits_equal(got.legal.ys(), reference.legal.ys(), "legal.y", threads);
+        assert_eq!(
+            got.trace.to_csv(),
+            reference.trace.to_csv(),
+            "CoG iteration traces differ at {threads} threads"
         );
     }
 }
