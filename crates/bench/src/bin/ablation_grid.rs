@@ -9,9 +9,9 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
-use complx_bench::runs::{suite_2005, timed_run};
+use complx_bench::runs::{run, suite_2005};
 use complx_bench::{artifact_dir, scale_arg};
-use complx_place::{ComplxPlacer, GridSchedule, PlacerConfig};
+use complx_place::{GridSchedule, PlacerConfig};
 
 fn main() {
     let scale = scale_arg();
@@ -42,14 +42,11 @@ fn main() {
         ),
     ];
     for (name, grid) in configs {
-        let (summary, _) = timed_run(&design, |d| {
-            ComplxPlacer::new(PlacerConfig {
-                grid,
-                ..PlacerConfig::default()
-            })
-            .place(d)
-            .expect("placement failed")
-        });
+        let cfg = PlacerConfig {
+            grid,
+            ..PlacerConfig::default()
+        };
+        let (summary, _) = run(&design, &cfg).expect("placement failed");
         table.add_row(vec![
             name,
             fmt_hpwl_millions(summary.hpwl),

@@ -9,9 +9,9 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
-use complx_bench::runs::{suite_2005, timed_run};
+use complx_bench::runs::{run, suite_2005};
 use complx_bench::{artifact_dir, geomean, scale_arg};
-use complx_place::{ComplxPlacer, LambdaMode, PlacerConfig};
+use complx_place::{LambdaMode, PlacerConfig};
 
 fn main() {
     let scale = scale_arg();
@@ -57,15 +57,12 @@ fn main() {
         let mut iters = 0usize;
         for design in &designs {
             eprintln!("[ablation_lambda] {name} on {}", design.name());
-            let (summary, _) = timed_run(design, |d| {
-                ComplxPlacer::new(PlacerConfig {
-                    lambda_mode: mode,
-                    lambda_inverse_ratio: inverse,
-                    ..PlacerConfig::default()
-                })
-                .place(d)
-                .expect("placement failed")
-            });
+            let cfg = PlacerConfig {
+                lambda_mode: mode,
+                lambda_inverse_ratio: inverse,
+                ..PlacerConfig::default()
+            };
+            let (summary, _) = run(design, &cfg).expect("placement failed");
             hpwls.push(summary.hpwl);
             secs.push(summary.seconds);
             iters += summary.iterations;

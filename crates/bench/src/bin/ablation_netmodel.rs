@@ -9,9 +9,9 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
-use complx_bench::runs::{suite_2005, timed_run};
+use complx_bench::runs::{run, suite_2005};
 use complx_bench::{artifact_dir, scale_arg};
-use complx_place::{ComplxPlacer, Interconnect, PlacerConfig};
+use complx_place::{Interconnect, PlacerConfig};
 use complx_wirelength::NetModel;
 
 fn main() {
@@ -46,14 +46,11 @@ fn main() {
     for design in &designs {
         for (name, interconnect) in &models {
             eprintln!("[ablation_netmodel] {name} on {}", design.name());
-            let (summary, _) = timed_run(design, |d| {
-                ComplxPlacer::new(PlacerConfig {
-                    interconnect: *interconnect,
-                    ..PlacerConfig::default()
-                })
-                .place(d)
-                .expect("placement failed")
-            });
+            let cfg = PlacerConfig {
+                interconnect: *interconnect,
+                ..PlacerConfig::default()
+            };
+            let (summary, _) = run(design, &cfg).expect("placement failed");
             table.add_row(vec![
                 name.to_string(),
                 design.name().to_string(),

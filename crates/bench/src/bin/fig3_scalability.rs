@@ -10,10 +10,10 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::Table;
-use complx_bench::runs::{reported_run, suite_2005, suite_2006};
+use complx_bench::runs::{run, suite_2005, suite_2006};
 use complx_bench::svg::xy_plot;
 use complx_bench::{artifact_dir, scale_arg};
-use complx_place::{ComplxPlacer, PlacerConfig};
+use complx_place::{PlacerConfig, SolveArtifacts};
 
 fn main() {
     let scale = scale_arg();
@@ -38,12 +38,8 @@ fn main() {
             design.name(),
             design.num_nets()
         );
-        let cfg = PlacerConfig::default();
-        let (summary, outcome, report) = reported_run(design, Some(&cfg), |d| {
-            ComplxPlacer::new(cfg.clone())
-                .place(d)
-                .expect("placement failed")
-        });
+        let (summary, SolveArtifacts { outcome, report }) =
+            run(design, &PlacerConfig::default()).expect("placement failed");
         let nets = design.num_nets() as f64;
         // Global-placement time from the instrumented phase breakdown:
         // the bootstrap solves plus every λ iteration, excluding the final
@@ -111,21 +107,17 @@ fn main() {
     // complx-par determinism contract; on a single-core host this simply
     // reports the parallel runtime's overhead).
     if let Some(largest) = designs.iter().max_by_key(|d| d.num_nets()) {
-        let cfg = PlacerConfig::default();
-        let run = |threads: usize| {
+        let global_at = |threads: usize| {
             let _g = complx_par::with_threads(threads);
-            let (_, outcome, report) = reported_run(largest, Some(&cfg), |d| {
-                ComplxPlacer::new(cfg.clone())
-                    .place(d)
-                    .expect("placement failed")
-            });
+            let (_, SolveArtifacts { outcome, report }) =
+                run(largest, &PlacerConfig::default()).expect("placement failed");
             let s =
                 report.phase_seconds("place/bootstrap") + report.phase_seconds("place/iteration");
             let secs = if s > 0.0 { s } else { outcome.global_seconds };
             (secs, outcome.metrics.hpwl)
         };
-        let (secs1, hpwl1) = run(1);
-        let (secs4, hpwl4) = run(4);
+        let (secs1, hpwl1) = global_at(1);
+        let (secs4, hpwl4) = global_at(4);
         assert_eq!(
             hpwl1.to_bits(),
             hpwl4.to_bits(),

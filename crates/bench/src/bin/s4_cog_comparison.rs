@@ -23,10 +23,10 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
-use complx_bench::runs::{suite_2005, timed_run};
+use complx_bench::runs::{run, suite_2005};
 use complx_bench::{artifact_dir, scale_arg};
 use complx_netlist::{CellKind, Design, Placement};
-use complx_place::{ComplxPlacer, PlacerConfig};
+use complx_place::PlacerConfig;
 
 /// Movable-cell area overlapping fixed obstacles (what CoG cannot avoid).
 fn area_on_obstacles(design: &Design, placement: &Placement) -> f64 {
@@ -62,14 +62,15 @@ fn main() {
         "analytic iterate area on obstacles",
         "feasible iterate area on obstacles",
     ]);
-    let place = |cfg: PlacerConfig| {
-        move |d: &Design| ComplxPlacer::new(cfg).place(d).expect("placement failed")
-    };
     let mut losses = Vec::new();
     for design in &designs {
         eprintln!("[s4] {}", design.name());
-        let (cx, cx_out) = timed_run(design, place(PlacerConfig::default()));
-        let (cog, cog_out) = timed_run(design, place(PlacerConfig::cog_constrained()));
+        let place = |cfg: PlacerConfig| {
+            let (summary, arts) = run(design, &cfg).expect("placement failed");
+            (summary, arts.outcome)
+        };
+        let (cx, cx_out) = place(PlacerConfig::default());
+        let (cog, cog_out) = place(PlacerConfig::cog_constrained());
         if cx.hpwl >= cog.hpwl {
             losses.push(format!("{}: {} vs {}", design.name(), cx.hpwl, cog.hpwl));
         }

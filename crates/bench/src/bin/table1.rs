@@ -12,9 +12,9 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, fmt_seconds, Table};
-use complx_bench::runs::{reported_run, suite_2005, timed_run};
+use complx_bench::runs::{run, suite_2005};
 use complx_bench::{artifact_dir, geomean, scale_arg};
-use complx_place::{ComplxPlacer, PlacerConfig};
+use complx_place::PlacerConfig;
 
 fn main() {
     let scale = scale_arg();
@@ -39,42 +39,20 @@ fn main() {
             design.name(),
             design.num_cells()
         );
-        let (simpl, _) = timed_run(design, |d| {
-            ComplxPlacer::new(PlacerConfig::simpl())
-                .place(d)
-                .expect("placement failed")
-        });
-        let (rql, _) = timed_run(design, |d| {
-            ComplxPlacer::new(PlacerConfig::rql_like())
-                .place(d)
-                .expect("placement failed")
-        });
+        // Every column's runtime is the RunReport's instrumented `place`
+        // phase, not a re-measured wall clock.
+        let place = |cfg: PlacerConfig| run(design, &cfg).expect("placement failed").0;
+        let simpl = place(PlacerConfig::simpl());
+        let rql = place(PlacerConfig::rql_like());
         let (best_hpwl, best_name) = if simpl.hpwl <= rql.hpwl {
             (simpl.hpwl, "SimPL")
         } else {
             (rql.hpwl, "RQL")
         };
 
-        // The three ComPLx columns take their runtimes from the RunReport's
-        // instrumented `place` phase, not a re-measured wall clock.
-        let finest_cfg = PlacerConfig::finest_grid();
-        let (finest, _, _) = reported_run(design, Some(&finest_cfg), |d| {
-            ComplxPlacer::new(finest_cfg.clone())
-                .place(d)
-                .expect("placement failed")
-        });
-        let pcdp_cfg = PlacerConfig::projection_with_detail();
-        let (pcdp, _, _) = reported_run(design, Some(&pcdp_cfg), |d| {
-            ComplxPlacer::new(pcdp_cfg.clone())
-                .place(d)
-                .expect("placement failed")
-        });
-        let default_cfg = PlacerConfig::default();
-        let (default, _, _) = reported_run(design, Some(&default_cfg), |d| {
-            ComplxPlacer::new(default_cfg.clone())
-                .place(d)
-                .expect("placement failed")
-        });
+        let finest = place(PlacerConfig::finest_grid());
+        let pcdp = place(PlacerConfig::projection_with_detail());
+        let default = place(PlacerConfig::default());
 
         let cols = [
             best_hpwl,

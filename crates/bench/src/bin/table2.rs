@@ -12,9 +12,9 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 use complx_bench::report::{fmt_hpwl_millions, Table};
-use complx_bench::runs::{suite_2006, timed_run};
+use complx_bench::runs::{run, suite_2006};
 use complx_bench::{artifact_dir, geomean, scale_arg};
-use complx_place::{ComplxPlacer, PlacerConfig};
+use complx_place::PlacerConfig;
 
 fn main() {
     let scale = scale_arg();
@@ -39,16 +39,11 @@ fn main() {
             design.num_cells(),
             design.target_density()
         );
-        let run = |cfg: PlacerConfig| {
-            timed_run(design, |d| {
-                ComplxPlacer::new(cfg).place(d).expect("placement failed")
-            })
-            .0
-        };
-        let fp = run(PlacerConfig::fastplace_like());
-        let sp = run(PlacerConfig::simpl());
-        let rq = run(PlacerConfig::rql_like());
-        let cx = run(PlacerConfig::default());
+        let place = |cfg: PlacerConfig| run(design, &cfg).expect("placement failed").0;
+        let fp = place(PlacerConfig::fastplace_like());
+        let sp = place(PlacerConfig::simpl());
+        let rq = place(PlacerConfig::rql_like());
+        let cx = place(PlacerConfig::default());
         for (i, s) in [&fp, &sp, &rq, &cx].iter().enumerate() {
             scaled[i].push(s.scaled_hpwl);
             penalties[i].push(s.overflow_percent);

@@ -1,10 +1,7 @@
 //! Shared run helpers for the table/figure binaries.
 
-use std::time::Instant;
-
 use complx_netlist::{generator, Design};
-use complx_obs::RunReport;
-use complx_place::{PlacementOutcome, PlacerConfig};
+use complx_place::{PlaceError, PlacementOutcome, PlacerConfig, SolveArtifacts, SolveRequest};
 
 /// One benchmark run's summary row.
 #[derive(Debug, Clone)]
@@ -49,43 +46,31 @@ impl RunSummary {
     }
 }
 
-/// Runs any placer closure with wall-clock timing.
-pub fn timed_run(
-    design: &Design,
-    run: impl FnOnce(&Design) -> PlacementOutcome,
-) -> (RunSummary, PlacementOutcome) {
-    let t = Instant::now();
-    let outcome = run(design);
-    let secs = t.elapsed().as_secs_f64();
-    (RunSummary::from_outcome(design, &outcome, secs), outcome)
-}
-
-/// Runs a placer closure under an armed instrumentation pipeline and
-/// returns the summary, the outcome, and the end-of-run [`RunReport`].
+/// Places `design` with `config` through [`complx_place::solve`] and
+/// returns the summary row plus the outcome and its [`RunReport`].
 ///
 /// The summary's `seconds` comes from the report's `place` phase — the
-/// instrumented root span, measured once where the work happens — rather
-/// than a wall clock re-measured around the call; the wall clock is kept
-/// only as the report's `total_seconds` and as a fallback for runs that
-/// never opened the root span.
-pub fn reported_run(
+/// instrumented root span, measured once where the work happens — with
+/// the report's `total_seconds` as the fallback for a run that never
+/// opened the root span.
+///
+/// # Errors
+///
+/// The placer's error.
+///
+/// [`RunReport`]: complx_obs::RunReport
+pub fn run(
     design: &Design,
-    config: Option<&PlacerConfig>,
-    run: impl FnOnce(&Design) -> PlacementOutcome,
-) -> (RunSummary, PlacementOutcome, RunReport) {
-    complx_obs::install(Vec::new());
-    let t = Instant::now();
-    let outcome = run(design);
-    let wall = t.elapsed().as_secs_f64();
-    let harvest = complx_obs::harvest();
-    let report = complx_place::run_report(design, config, &outcome, harvest, wall);
-    let place_secs = report.phase_seconds("place");
-    let secs = if place_secs > 0.0 { place_secs } else { wall };
-    (
-        RunSummary::from_outcome(design, &outcome, secs),
-        outcome,
-        report,
-    )
+    config: &PlacerConfig,
+) -> Result<(RunSummary, SolveArtifacts), PlaceError> {
+    let arts = complx_place::solve(design, SolveRequest::new(config.clone()))?;
+    let place_secs = arts.report.phase_seconds("place");
+    let secs = if place_secs > 0.0 {
+        place_secs
+    } else {
+        arts.report.total_seconds
+    };
+    Ok((RunSummary::from_outcome(design, &arts.outcome, secs), arts))
 }
 
 /// Generates the ISPD-2005-like suite at `scale` (sizes divided by
@@ -114,7 +99,6 @@ pub fn suite_2006(scale: usize) -> Vec<Design> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use complx_place::{ComplxPlacer, PlacerConfig};
 
     #[test]
     fn suites_scale_down() {
@@ -126,36 +110,20 @@ mod tests {
     }
 
     #[test]
-    fn reported_run_takes_seconds_from_the_place_phase() {
+    fn run_takes_seconds_from_the_place_phase() {
         let d = complx_netlist::generator::GeneratorConfig::small("rr", 2).generate();
-        let cfg = PlacerConfig::fast();
-        let (summary, outcome, report) = reported_run(&d, Some(&cfg), |d| {
-            ComplxPlacer::new(cfg.clone())
-                .place(d)
-                .expect("placement failed")
-        });
-        assert!(summary.seconds > 0.0);
-        let place = report.phase_seconds("place");
-        assert!(place > 0.0, "instrumented root phase present");
-        assert_eq!(summary.seconds, place);
-        // The instrumented time is bounded by the re-measured wall clock.
-        assert!(place <= report.total_seconds * 1.05);
-        assert_eq!(
-            report.counter("place.iterations") as usize,
-            outcome.iterations
-        );
-    }
-
-    #[test]
-    fn timed_run_reports_time_and_metrics() {
-        let d = complx_netlist::generator::GeneratorConfig::small("tr", 1).generate();
-        let (summary, _) = timed_run(&d, |d| {
-            ComplxPlacer::new(PlacerConfig::fast())
-                .place(d)
-                .expect("placement failed")
-        });
+        let (summary, arts) = run(&d, &PlacerConfig::fast()).expect("placement failed");
         assert!(summary.seconds > 0.0);
         assert!(summary.hpwl > 0.0);
-        assert_eq!(summary.name, "tr");
+        assert_eq!(summary.name, "rr");
+        let place = arts.report.phase_seconds("place");
+        assert!(place > 0.0, "instrumented root phase present");
+        assert_eq!(summary.seconds, place);
+        // The instrumented time is bounded by the solve's wall clock.
+        assert!(place <= arts.report.total_seconds * 1.05);
+        assert_eq!(
+            arts.report.counter("place.iterations") as usize,
+            arts.outcome.iterations
+        );
     }
 }

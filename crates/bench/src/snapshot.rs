@@ -13,12 +13,13 @@
 //! wall-clock so the gate catches order-of-magnitude regressions without
 //! flaking on a loaded machine.
 
-use std::time::Instant;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use complx_netlist::generator::GeneratorConfig;
 use complx_netlist::Design;
-use complx_obs::{prof, JsonValue};
-use complx_place::{ComplxPlacer, PlaceError, PlacerConfig, ProjectionBackend};
+use complx_obs::{prof, JsonValue, Sink};
+use complx_place::{PlaceError, PlacerConfig, ProjectionBackend, SolveArtifacts, SolveRequest};
 
 /// Schema identifier every committed benchmark snapshot must carry.
 pub const BENCH_SCHEMA: &str = "complx-bench/v1";
@@ -385,7 +386,18 @@ fn bench_config() -> PlacerConfig {
     cfg
 }
 
-/// Runs one matrix cell and measures it.
+/// Reads the process-wide allocation totals when the pipeline closes:
+/// [`complx_place::solve`] harvests right after the placement and before
+/// it assembles the report, so the window holds the placement alone.
+struct MemWindow(Rc<Cell<prof::MemTotals>>);
+
+impl Sink for MemWindow {
+    fn on_close(&mut self) {
+        self.0.set(prof::mem_totals());
+    }
+}
+
+/// Runs one matrix cell through [`complx_place::solve`] and measures it.
 ///
 /// The caller is expected to have installed [`prof::CountingAlloc`] as the
 /// global allocator, prewarmed the pool to the matrix's largest thread
@@ -402,24 +414,23 @@ pub fn run_case(spec: &MatrixSpec) -> Result<BenchCase, PlaceError> {
     let mut cfg = bench_config();
     cfg.projection = spec.projection;
     let projection_label = cfg.projection.to_string();
-    let _threads = complx_par::with_threads(spec.threads);
-    prof::set_mem_profiling(true);
-    prof::reset_mem_counters();
-    complx_obs::install(Vec::new());
-    let t = Instant::now();
-    let placed = ComplxPlacer::new(cfg).place(&design);
-    let wall = t.elapsed().as_secs_f64();
-    let harvest = complx_obs::harvest().unwrap_or_default();
     // Process-global totals, not the `place` span's attribution: the
     // calling thread steals a run-dependent share of the chunk queue, so
     // per-thread attribution wobbles while the all-threads total is
     // deterministic modulo runtime noise — which is what a tight
     // regression band needs.
-    let totals = prof::mem_totals();
+    let totals = Rc::new(Cell::new(prof::MemTotals::default()));
+    let mut request = SolveRequest::new(cfg);
+    request.threads = Some(spec.threads);
+    request.sinks = vec![Box::new(MemWindow(Rc::clone(&totals)))];
+    prof::set_mem_profiling(true);
+    prof::reset_mem_counters();
+    let solved = complx_place::solve(&design, request);
     prof::set_mem_profiling(false);
-    let outcome = placed?;
+    let SolveArtifacts { outcome, report } = solved?;
+    let totals = totals.get();
 
-    let phase = |p: &str| harvest.phases.iter().find(|s| s.path == p);
+    let phase = |p: &str| report.phase(p);
     let mut kernels = Vec::new();
     for path in KERNEL_PATHS {
         let Some(stat) = phase(path) else { continue };
@@ -442,7 +453,7 @@ pub fn run_case(spec: &MatrixSpec) -> Result<BenchCase, PlaceError> {
     Ok(BenchCase {
         name: spec.name.to_string(),
         threads: spec.threads,
-        wall_seconds: wall,
+        wall_seconds: report.total_seconds,
         iterations: Some(outcome.iterations as u64),
         metrics: vec![
             ("scaled_hpwl".to_string(), outcome.metrics.scaled_hpwl),
@@ -472,7 +483,7 @@ pub fn measure_placer_suite(progress: impl Fn(&MatrixSpec)) -> Result<BenchSnaps
     {
         let _t = complx_par::with_threads(max_threads);
         let design = GeneratorConfig::small("bench_warmup", 7).generate();
-        let _ = ComplxPlacer::new(bench_config()).place(&design);
+        let _ = complx_place::solve(&design, SolveRequest::new(bench_config()));
     }
     let mut cases = Vec::new();
     for spec in placer_matrix() {

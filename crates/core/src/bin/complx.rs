@@ -7,10 +7,13 @@
 //!   -o, --out <dir>        output directory for the solution bundle
 //!                          (default: alongside the input, suffix `.complx`)
 //!   --target-density <γ>   override the density target (0 < γ ≤ 1)
-//!   --max-iterations <n>   global placement iteration cap (default 100)
+//!   --max-iterations <n>   global placement iteration cap (default 100,
+//!                          at least 1)
 //!   --finest-grid          use the finest P_C grid in all iterations
 //!   --pc-dp                run detailed placement after every projection
 //!   --simpl                use the SimPL special-case configuration
+//!                          (these three each select a preset of
+//!                          `PlacerConfig::preset`; pass at most one)
 //!   --projection <b>       feasibility-projection backend: `geometric`
 //!                          (SimPL-style look-ahead legalization, the
 //!                          default) or `electro` (FFT electrostatic
@@ -68,15 +71,15 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use complx_netlist::{bookshelf, Design, Placement};
 use complx_obs::{JsonlSink, Level, Sink, StderrLogger, TimelineSink};
 use complx_oracle::Violation;
 use complx_place::{
-    load_checkpoint, CheckpointConfig, CkptError, ComplxPlacer, FaultKind, FaultPlan, Interconnect,
-    PlaceError, PlacerConfig, ProjectionBackend,
+    load_checkpoint, CheckpointConfig, CkptError, FaultKind, FaultPlan, Interconnect, PlaceError,
+    PlacerConfig, ProjectionBackend, SolveArtifacts, SolveRequest,
 };
 
 /// The tracking allocator behind `--profile-mem`. Until that flag arms
@@ -90,9 +93,8 @@ struct Options {
     out: Option<PathBuf>,
     target_density: Option<f64>,
     max_iterations: Option<usize>,
-    finest_grid: bool,
-    pc_dp: bool,
-    simpl: bool,
+    /// The preset flag given, and the [`PlacerConfig::preset`] it names.
+    preset: Option<(&'static str, &'static str)>,
     projection: Option<ProjectionBackend>,
     lse: Option<f64>,
     no_detail: bool,
@@ -136,9 +138,33 @@ fn acceptance_violations(design: &Design, legal: &Placement) -> Vec<Violation> {
     violations
 }
 
+/// The flags that each select a whole configuration, with the
+/// [`PlacerConfig::preset`] name they select.
+const PRESET_FLAGS: [(&str, &str); 3] = [
+    ("--simpl", "simpl"),
+    ("--finest-grid", "finest-grid"),
+    ("--pc-dp", "detail"),
+];
+
+/// Prints the one-line structured error (`complx: error[<kind>]:
+/// <context><message>`) and returns the variant's exit code.
+fn fail(e: &PlaceError, context: &str) -> ExitCode {
+    eprintln!("complx: error[{}]: {context}{e}", e.kind());
+    ExitCode::from(e.exit_code())
+}
+
+/// Writes one output artifact atomically; a failure is a structured `io`
+/// error naming the artifact.
+fn write_artifact(what: &str, path: &Path, bytes: &[u8]) -> Result<(), ExitCode> {
+    complx_obs::write_atomic(path, bytes).map_err(|e| {
+        let context = format!("cannot write {what} {}: ", path.display());
+        fail(&PlaceError::from(e), &context)
+    })
+}
+
 fn usage() -> &'static str {
     "usage: complx <design.aux> [-o DIR] [--target-density G] [--max-iterations N]\n\
-     [--finest-grid] [--pc-dp] [--simpl] [--projection geometric|electro]\n\
+     [--finest-grid | --pc-dp | --simpl] [--projection geometric|electro]\n\
      [--lse [GAMMA_ROWS]] [--no-detail]\n\
      [--max-seconds S] [--max-recoveries N] [--checkpoint FILE [--checkpoint-every K]]\n\
      [--resume FILE] [--fault-kill-at K] [--threads N] [--trace FILE[.json|.csv]]\n\
@@ -153,9 +179,7 @@ fn parse_args() -> Result<Options, String> {
         out: None,
         target_density: None,
         max_iterations: None,
-        finest_grid: false,
-        pc_dp: false,
-        simpl: false,
+        preset: None,
         projection: None,
         lse: None,
         no_detail: false,
@@ -176,6 +200,18 @@ fn parse_args() -> Result<Options, String> {
     };
     let mut positional = Vec::new();
     while let Some(a) = args.next() {
+        if let Some(&chosen) = PRESET_FLAGS.iter().find(|(flag, _)| *flag == a) {
+            match opts.preset.replace(chosen) {
+                Some((prev, _)) if prev != chosen.0 => {
+                    return Err(format!(
+                        "{prev} and {} select different presets; pass at most one\n{}",
+                        chosen.0,
+                        usage()
+                    ))
+                }
+                _ => continue,
+            }
+        }
         match a.as_str() {
             "-o" | "--out" => {
                 opts.out = Some(PathBuf::from(args.next().ok_or("missing value for --out")?))
@@ -194,11 +230,11 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("missing value for --max-iterations")?
                     .parse()
                     .map_err(|_| "bad --max-iterations value")?;
+                if v == 0 {
+                    return Err("--max-iterations must be at least 1".into());
+                }
                 opts.max_iterations = Some(v);
             }
-            "--finest-grid" => opts.finest_grid = true,
-            "--pc-dp" => opts.pc_dp = true,
-            "--simpl" => opts.simpl = true,
             "--projection" => {
                 let v = args.next().ok_or("missing value for --projection")?;
                 opts.projection = Some(v.parse()?);
@@ -373,14 +409,13 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut cfg = if opts.simpl {
-        PlacerConfig::simpl()
-    } else if opts.finest_grid {
-        PlacerConfig::finest_grid()
-    } else if opts.pc_dp {
-        PlacerConfig::projection_with_detail()
-    } else {
-        PlacerConfig::default()
+    let preset = opts.preset.map_or("default", |(_, name)| name);
+    let mut cfg = match PlacerConfig::preset(preset) {
+        Ok(c) => c,
+        Err(msg) => {
+            eprintln!("complx: {msg}");
+            return ExitCode::FAILURE;
+        }
     };
     if let Some(n) = opts.max_iterations {
         cfg.max_iterations = n;
@@ -420,42 +455,8 @@ fn main() -> ExitCode {
             eprintln!("complx: warning: {issue}");
         }
     }
-    let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
-    if opts.log_level > Level::Off {
-        sinks.push(Box::new(StderrLogger::new(opts.log_level)));
-    }
-    if let Some(events_path) = &opts.events {
-        match JsonlSink::create(events_path) {
-            Ok(s) => sinks.push(Box::new(s)),
-            Err(e) => {
-                let e = PlaceError::from(e);
-                eprintln!(
-                    "complx: error[{}]: cannot open events stream {}: {e}",
-                    e.kind(),
-                    events_path.display()
-                );
-                return ExitCode::from(e.exit_code());
-            }
-        }
-    }
-    let timeline = opts.profile.as_ref().map(|_| {
-        let (sink, handle) = TimelineSink::new();
-        sinks.push(Box::new(sink) as Box<dyn Sink>);
-        handle
-    });
-    let instrument =
-        !sinks.is_empty() || opts.report.is_some() || opts.profile.is_some() || opts.profile_mem;
-    if instrument {
-        complx_obs::install(sinks);
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "total solve timer; feeds the metrics line and the report's wall-clock field only"
-    )]
-    let started = std::time::Instant::now();
-    let placer = ComplxPlacer::new(cfg.clone());
-    let placed = match &opts.resume {
+    let resume = match &opts.resume {
+        None => None,
         Some(resume_path) => match load_checkpoint(resume_path) {
             Ok((checkpoint, used_prev)) => {
                 if !opts.quiet {
@@ -473,32 +474,47 @@ fn main() -> ExitCode {
                         checkpoint.generation
                     );
                 }
-                placer.resume(&design, checkpoint)
+                Some(checkpoint)
             }
-            Err(CkptError::Io(e)) => Err(PlaceError::from(e)),
-            Err(e) => Err(PlaceError::CheckpointMismatch {
-                reason: format!("{}: {e}", resume_path.display()),
-            }),
+            Err(CkptError::Io(e)) => return fail(&PlaceError::from(e), ""),
+            Err(e) => {
+                let reason = format!("{}: {e}", resume_path.display());
+                return fail(&PlaceError::CheckpointMismatch { reason }, "");
+            }
         },
-        None => placer.place(&design),
     };
-    let outcome = match placed {
-        Ok(o) => o,
-        Err(e) => {
-            // Flush the event stream so a failed run still leaves a record.
-            if instrument {
-                drop(complx_obs::harvest());
+    let mut sinks: Vec<Box<dyn Sink>> = Vec::new();
+    if opts.log_level > Level::Off {
+        sinks.push(Box::new(StderrLogger::new(opts.log_level)));
+    }
+    if let Some(events_path) = &opts.events {
+        match JsonlSink::create(events_path) {
+            Ok(s) => sinks.push(Box::new(s)),
+            Err(e) => {
+                let context = format!("cannot open events stream {}: ", events_path.display());
+                return fail(&PlaceError::from(e), &context);
             }
-            eprintln!("complx: error[{}]: {e}", e.kind());
-            return ExitCode::from(e.exit_code());
         }
+    }
+    let timeline = opts.profile.as_ref().map(|_| {
+        let (sink, handle) = TimelineSink::new();
+        sinks.push(Box::new(sink) as Box<dyn Sink>);
+        handle
+    });
+
+    let mut request = SolveRequest::new(cfg);
+    request.sinks = sinks;
+    request.resume = resume;
+    let SolveArtifacts {
+        outcome,
+        mut report,
+    } = match complx_place::solve(&design, request) {
+        Ok(arts) => arts,
+        Err(e) => return fail(&e, ""),
     };
-    let total_seconds = started.elapsed().as_secs_f64();
-    let harvest = if instrument {
-        complx_obs::harvest()
-    } else {
-        None
-    };
+    if let Some(handle) = &timeline {
+        complx_place::attach_extra(&mut report, "timeline", handle.to_json());
+    }
     if !opts.quiet {
         eprintln!(
             "complx: {} iterations (stop: {}{}), λ = {:.4}, global {:.1}s + detail {:.1}s",
@@ -532,30 +548,15 @@ fn main() -> ExitCode {
         } else {
             outcome.trace.to_csv()
         };
-        if let Err(e) = complx_obs::write_atomic(trace_path, serialized.as_bytes()) {
-            let e = PlaceError::from(e);
-            eprintln!(
-                "complx: error[{}]: cannot write trace {}: {e}",
-                e.kind(),
-                trace_path.display()
-            );
-            return ExitCode::from(e.exit_code());
+        if let Err(code) = write_artifact("trace", trace_path, serialized.as_bytes()) {
+            return code;
         }
     }
 
     if let Some(profile_path) = &opts.profile {
-        let folded = harvest
-            .as_ref()
-            .map(complx_obs::prof::collapsed_stacks)
-            .unwrap_or_default();
-        if let Err(e) = complx_obs::write_atomic(profile_path, folded.as_bytes()) {
-            let e = PlaceError::from(e);
-            eprintln!(
-                "complx: error[{}]: cannot write profile {}: {e}",
-                e.kind(),
-                profile_path.display()
-            );
-            return ExitCode::from(e.exit_code());
+        let folded = complx_obs::prof::collapsed_stacks(&report.phases);
+        if let Err(code) = write_artifact("profile", profile_path, folded.as_bytes()) {
+            return code;
         }
         if !opts.quiet {
             eprintln!(
@@ -565,27 +566,13 @@ fn main() -> ExitCode {
         }
     }
 
-    if instrument {
-        let mut report =
-            complx_place::run_report(&design, Some(&cfg), &outcome, harvest, total_seconds);
-        if let Some(handle) = &timeline {
-            complx_place::attach_extra(&mut report, "timeline", handle.to_json());
-        }
-        if !opts.quiet {
-            eprint!("{}", report.summary_table());
-        }
-        if let Some(report_path) = &opts.report {
-            if let Err(e) =
-                complx_obs::write_atomic(report_path, report.to_json_string().as_bytes())
-            {
-                let e = PlaceError::from(e);
-                eprintln!(
-                    "complx: error[{}]: cannot write report {}: {e}",
-                    e.kind(),
-                    report_path.display()
-                );
-                return ExitCode::from(e.exit_code());
-            }
+    if !opts.quiet {
+        eprint!("{}", report.summary_table());
+    }
+    if let Some(report_path) = &opts.report {
+        let json = report.to_json_string();
+        if let Err(code) = write_artifact("report", report_path, json.as_bytes()) {
+            return code;
         }
     }
 

@@ -350,6 +350,40 @@ impl Default for PlacerConfig {
 }
 
 impl PlacerConfig {
+    /// Looks a configuration up by the preset name that the `complx` CLI's
+    /// preset flags and `complx-serve`'s `preset=` parameter use:
+    /// `default`, `fast`, `simpl`, `finest-grid`, `detail`
+    /// ([`Self::projection_with_detail`]) or `stress`.
+    ///
+    /// `stress` is the default configuration with no convergence criterion
+    /// that can fire, so a solve runs to its iteration cap (or its cancel
+    /// token). Load tests use it to hold scheduler slots for a
+    /// deterministic amount of work.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name; the message lists the known ones.
+    pub fn preset(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "default" => Self::default(),
+            "fast" => Self::fast(),
+            "simpl" => Self::simpl(),
+            "finest-grid" => Self::finest_grid(),
+            "detail" => Self::projection_with_detail(),
+            "stress" => Self {
+                gap_tolerance: f64::NEG_INFINITY,
+                overflow_tolerance: f64::NEG_INFINITY,
+                stagnation_window: usize::MAX,
+                ..Self::default()
+            },
+            other => {
+                return Err(format!(
+                    "unknown preset `{other}` (default|fast|simpl|finest-grid|detail|stress)"
+                ))
+            }
+        })
+    }
+
     /// The "Finest Grid" configuration of Table 1: the finest grid in all
     /// iterations.
     pub fn finest_grid() -> Self {
@@ -536,6 +570,37 @@ mod tests {
             },
             d
         );
+    }
+
+    #[test]
+    fn preset_names_map_to_their_constructors() {
+        let stress = PlacerConfig {
+            gap_tolerance: f64::NEG_INFINITY,
+            overflow_tolerance: f64::NEG_INFINITY,
+            stagnation_window: usize::MAX,
+            ..PlacerConfig::default()
+        };
+        let expected = [
+            ("default", PlacerConfig::default()),
+            ("fast", PlacerConfig::fast()),
+            ("simpl", PlacerConfig::simpl()),
+            ("finest-grid", PlacerConfig::finest_grid()),
+            ("detail", PlacerConfig::projection_with_detail()),
+            ("stress", stress),
+        ];
+        for (name, cfg) in &expected {
+            let preset = PlacerConfig::preset(name).expect("known preset");
+            assert_eq!(
+                crate::idhash::config_hash(&preset),
+                crate::idhash::config_hash(cfg),
+                "{name}"
+            );
+        }
+        let err = PlacerConfig::preset("turbo").expect_err("unknown preset");
+        assert!(err.contains("`turbo`"), "{err}");
+        for (name, _) in &expected {
+            assert!(err.contains(name), "{err} lacks {name}");
+        }
     }
 
     #[test]

@@ -114,16 +114,15 @@ pub fn parallel_json(harvest: Option<&Harvest>) -> JsonValue {
     ])
 }
 
-/// Builds the full run manifest for one placement outcome.
+/// Builds the full run manifest for one placement outcome; called by
+/// [`crate::solve`], which owns the pipeline and the clock.
 ///
-/// `config` is `None` for placers that run without a [`PlacerConfig`]
-/// (the CoG baseline);
 /// `harvest` is `None` when no observability pipeline was armed (the
 /// report then carries metrics and the iteration trace but no phase
-/// timings); `total_seconds` is the caller's wall clock for the run.
+/// timings); `total_seconds` is the wall clock of the placement.
 pub fn run_report(
     design: &Design,
-    config: Option<&PlacerConfig>,
+    config: &PlacerConfig,
     outcome: &PlacementOutcome,
     harvest: Option<Harvest>,
     total_seconds: f64,
@@ -132,7 +131,7 @@ pub fn run_report(
     report.total_seconds = total_seconds;
     report.stop_reason = outcome.stop_reason.to_string();
     report.design = design_json(design);
-    report.config = config.map_or(JsonValue::Null, config_json);
+    report.config = config_json(config);
     report.metrics = JsonValue::object(vec![
         ("hpwl", outcome.metrics.hpwl.into()),
         ("weighted_hpwl", outcome.metrics.weighted_hpwl.into()),
@@ -222,16 +221,9 @@ mod tests {
             anchor_cap_bins: Some(4.0),
             ..PlacerConfig::fast()
         };
-        complx_obs::install(Vec::new());
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the report's wall-clock field needs a real duration"
-        )]
-        let t0 = std::time::Instant::now();
-        let outcome = ComplxPlacer::new(cfg.clone()).place(&d).expect("places");
-        let harvest = complx_obs::harvest().expect("armed");
-        let total = t0.elapsed().as_secs_f64();
-        let report = run_report(&d, Some(&cfg), &outcome, Some(harvest), total);
+        let crate::SolveArtifacts { outcome, report } =
+            crate::solve(&d, crate::SolveRequest::new(cfg.clone())).expect("places");
+        let total = report.total_seconds;
 
         // Phase accounting: the `place` span exists and nests iterations.
         assert!(report.phase_seconds("place") > 0.0);
@@ -275,17 +267,17 @@ mod tests {
     }
 
     #[test]
-    fn report_without_harvest_or_config_still_builds() {
+    fn report_without_harvest_still_builds() {
         let d = GeneratorConfig::small("rep2", 12).generate();
-        let outcome = ComplxPlacer::new(PlacerConfig {
+        let cfg = PlacerConfig {
             max_iterations: 10,
             ..PlacerConfig::rql_like()
-        })
-        .place(&d)
-        .expect("places");
-        let report = run_report(&d, None, &outcome, None, 1.0);
+        };
+        let outcome = ComplxPlacer::new(cfg.clone()).place(&d).expect("places");
+        let report = run_report(&d, &cfg, &outcome, None, 1.0);
         assert!(report.phases.is_empty());
-        assert_eq!(report.config, JsonValue::Null);
+        assert!(report.counters.is_empty());
+        assert_eq!(report.config, config_json(&cfg));
         let doc = parse(&report.to_json_string()).expect("valid JSON");
         assert!(complx_obs::RunReport::from_json(&doc).is_ok());
     }
@@ -293,12 +285,9 @@ mod tests {
     #[test]
     fn parallel_section_records_thread_count_and_kernels() {
         let d = GeneratorConfig::small("rep4", 14).generate();
-        let cfg = PlacerConfig::fast();
-        complx_obs::install(Vec::new());
-        let _g = complx_par::with_threads(3);
-        let outcome = ComplxPlacer::new(cfg.clone()).place(&d).expect("places");
-        let harvest = complx_obs::harvest().expect("armed");
-        let report = run_report(&d, Some(&cfg), &outcome, Some(harvest), 1.0);
+        let mut request = crate::SolveRequest::new(PlacerConfig::fast());
+        request.threads = Some(3);
+        let report = crate::solve(&d, request).expect("places").report;
         let par = report.extra.get("parallel").expect("parallel section");
         assert_eq!(par.get("threads").and_then(JsonValue::as_i64), Some(3));
         assert!(
@@ -339,7 +328,7 @@ mod tests {
         assert!(!outcome.solves.is_empty(), "bootstrap records at least");
         let totals = outcome.solver_totals();
         assert!(totals.cg_iterations > 0);
-        let report = run_report(&d, Some(&cfg), &outcome, None, 1.0);
+        let report = run_report(&d, &cfg, &outcome, None, 1.0);
         let solver = report.extra.get("solver").expect("solver totals");
         assert_eq!(
             solver.get("solves").and_then(JsonValue::as_i64),

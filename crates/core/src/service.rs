@@ -1,12 +1,15 @@
-//! Library-shaped solve entry point: one call that runs the full
-//! instrumented pipeline the `complx` CLI drives by hand.
+//! The one entry point that runs an instrumented placement.
 //!
-//! The CLI wires its pieces — thread budget, observability sinks, cancel
-//! token, placement, report assembly — inline in `main`. A long-lived
-//! consumer (the `complx-serve` daemon runs one of these per job, on its
-//! own worker thread) needs the same pipeline as a function: give it a
-//! design, a configuration, and an optional event sink, get back the
-//! outcome and the finished `complx-run-report/v1` manifest.
+//! [`solve`] arms the observability pipeline with the caller's sinks,
+//! applies the thread budget, places (or resumes from a checkpoint) under
+//! the cancel token, times the run, harvests the pipeline and assembles
+//! the `complx-run-report/v1` manifest. Every consumer places through it:
+//! the `complx` CLI (which adds its own sinks and writes the artifacts),
+//! the `complx-serve` daemon (one call per job, on its own worker thread)
+//! and the bench harness that times the paper's tables and figures. So
+//! the wall time a report explains is measured in one place, and clippy
+//! (`crates/core/clippy.toml`) keeps it that way: `complx_obs::install`
+//! is a disallowed method everywhere else.
 //!
 //! The observability pipeline is thread-local, so concurrent
 //! [`solve`] calls on different threads keep fully independent event
@@ -17,6 +20,7 @@ use complx_netlist::Design;
 use complx_obs::{RunReport, Sink};
 use complx_par::CancelToken;
 
+use crate::ckpt::CheckpointState;
 use crate::config::PlacerConfig;
 use crate::error::PlaceError;
 use crate::placer::{ComplxPlacer, PlacementOutcome};
@@ -36,6 +40,10 @@ pub struct SolveRequest {
     /// Event sinks for this solve (for example a line-buffered JSONL
     /// stream). The aggregator behind the report always runs.
     pub sinks: Vec<Box<dyn Sink>>,
+    /// Continue a checkpointed run instead of starting a fresh one (see
+    /// [`ComplxPlacer::resume`]); the design and configuration must match
+    /// the checkpointed run's.
+    pub resume: Option<CheckpointState>,
 }
 
 impl SolveRequest {
@@ -46,6 +54,7 @@ impl SolveRequest {
             threads: None,
             cancel: None,
             sinks: Vec::new(),
+            resume: None,
         }
     }
 }
@@ -59,26 +68,31 @@ pub struct SolveArtifacts {
 }
 
 /// Runs one fully instrumented placement: installs the request's sinks on
-/// this thread, applies the thread budget, places under the cancel token,
-/// then harvests and assembles the report manifest.
+/// this thread, applies the thread budget, places (or resumes) under the
+/// cancel token, then harvests and assembles the report manifest.
 ///
 /// # Errors
 ///
-/// Every failure mode of [`ComplxPlacer::place`], plus
-/// [`PlaceError::Cancelled`] when the token trips before a feasible
-/// iterate exists. The pipeline is harvested (sinks flushed and closed)
-/// on the error path too, so a cancelled job still leaves a complete
-/// event stream.
+/// Every failure mode of [`ComplxPlacer::place`] and
+/// [`ComplxPlacer::resume`], plus [`PlaceError::Cancelled`] when the token
+/// trips before a feasible iterate exists. The pipeline is harvested
+/// (sinks flushed and closed) on the error path too, so a failed or
+/// cancelled run still leaves a complete event stream.
 pub fn solve(design: &Design, request: SolveRequest) -> Result<SolveArtifacts, PlaceError> {
     let SolveRequest {
         config,
         threads,
         cancel,
         sinks,
+        resume,
     } = request;
     // Guard-scoped: the budget must cover the report assembly too, so
     // `extra.parallel.threads` records the thread count the job ran at.
     let _budget = threads.map(complx_par::with_threads);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one place that arms the pipeline"
+    )]
     complx_obs::install(sinks);
     let mut placer = ComplxPlacer::new(config.clone());
     if let Some(token) = cancel {
@@ -89,17 +103,14 @@ pub fn solve(design: &Design, request: SolveRequest) -> Result<SolveArtifacts, P
         reason = "total solve timer; feeds the report's wall-clock field only"
     )]
     let started = std::time::Instant::now();
-    let outcome = match placer.place(design) {
-        Ok(o) => o,
-        Err(e) => {
-            // Flush the event stream so a failed run still leaves a record.
-            drop(complx_obs::harvest());
-            return Err(e);
-        }
+    let placed = match resume {
+        Some(checkpoint) => placer.resume(design, checkpoint),
+        None => placer.place(design),
     };
     let total_seconds = started.elapsed().as_secs_f64();
     let harvest = complx_obs::harvest();
-    let report = run_report(design, Some(&config), &outcome, harvest, total_seconds);
+    let outcome = placed?;
+    let report = run_report(design, &config, &outcome, harvest, total_seconds);
     Ok(SolveArtifacts { outcome, report })
 }
 
@@ -139,6 +150,40 @@ mod tests {
             "instrumentation observes, never perturbs"
         );
         assert_eq!(direct.legal.ys(), served.outcome.legal.ys());
+    }
+
+    #[test]
+    fn resume_continues_a_killed_run_bit_for_bit() {
+        use crate::config::CheckpointConfig;
+        use crate::faults::{FaultKind, FaultPlan};
+
+        let design = GeneratorConfig::small("svc_rsm", 6).generate();
+        let ckpt = std::env::temp_dir().join(format!("complx-svc-rsm-{}.ckpt", std::process::id()));
+        let config = PlacerConfig {
+            checkpoint: Some(CheckpointConfig::new(&ckpt, 2)),
+            ..PlacerConfig::fast()
+        };
+        let reference = solve(&design, SolveRequest::new(config.clone())).expect("reference");
+        let killed = SolveRequest::new(PlacerConfig {
+            faults: Some(FaultPlan::new().inject(3, FaultKind::Kill)),
+            ..config.clone()
+        });
+        assert!(matches!(
+            solve(&design, killed),
+            Err(PlaceError::Killed { iteration: 3 })
+        ));
+        let (state, _) = crate::ckpt::load_checkpoint(&ckpt).expect("checkpoint");
+        let mut request = SolveRequest::new(config);
+        request.resume = Some(state);
+        let resumed = solve(&design, request).expect("resume");
+        assert_eq!(reference.outcome.legal, resumed.outcome.legal);
+        assert_eq!(
+            reference.report.counter("place.iterations"),
+            resumed.report.counter("place.iterations") + 2,
+            "the resumed run starts after the checkpointed iteration 2"
+        );
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(crate::ckpt::prev_path(&ckpt));
     }
 
     #[test]

@@ -350,6 +350,43 @@ fn nonpositive_max_seconds_is_a_usage_error() {
 }
 
 #[test]
+fn two_preset_flags_and_zero_iterations_are_usage_errors() {
+    // Both are rejected while parsing, before the (absent) input is read.
+    let run = |args: &[&str]| {
+        let output = Command::new(complx_bin())
+            .arg("in.aux")
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    for pair in [
+        ["--simpl", "--finest-grid"],
+        ["--finest-grid", "--pc-dp"],
+        ["--pc-dp", "--simpl"],
+    ] {
+        let (code, stderr) = run(&pair);
+        assert_eq!(code, Some(1), "{pair:?}: {stderr}");
+        assert!(
+            stderr.contains(pair[0]) && stderr.contains(pair[1]),
+            "{pair:?}: {stderr}"
+        );
+        assert!(!stderr.contains("cannot read"), "{pair:?}: {stderr}");
+    }
+    let (code, stderr) = run(&["--max-iterations", "0"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--max-iterations must be at least 1"),
+        "{stderr}"
+    );
+    // One preset flag, even repeated, parses and the run goes on to read
+    // the input.
+    let (_, stderr) = run(&["--simpl", "--simpl", "--max-iterations", "1"]);
+    assert!(stderr.contains("cannot read"), "{stderr}");
+}
+
+#[test]
 fn lse_rejects_nonpositive_and_nonfinite_gamma() {
     for bad in ["-3", "0", "nan", "inf"] {
         let output = Command::new(complx_bin())

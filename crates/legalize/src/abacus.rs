@@ -205,7 +205,6 @@ pub fn abacus_legalize(design: &Design, rows: &RowLayout, placement: &mut Placem
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tetris::tetris_legalize;
     use crate::verify::is_legal;
     use complx_netlist::generator::GeneratorConfig;
 
@@ -217,33 +216,6 @@ mod tests {
         let failures = abacus_legalize(&d, &rows, &mut p);
         assert_eq!(failures, 0);
         assert!(is_legal(&d, &p, 1e-6));
-    }
-
-    #[test]
-    fn abacus_no_worse_than_tetris_on_displacement() {
-        let d = GeneratorConfig::small("a2", 22).generate();
-        let rows = RowLayout::new(&d, &[]);
-        // Mildly spread start (realistic for post-global placement).
-        let core = d.core();
-        let mut start = d.initial_placement();
-        for (i, &id) in d.movable_cells().iter().enumerate() {
-            let fx = (i as f64 * 0.61803) % 1.0;
-            let fy = (i as f64 * 0.31415) % 1.0;
-            start.set_position(
-                id,
-                Point::new(core.lx + fx * core.width(), core.ly + fy * core.height()),
-            );
-        }
-        let mut ab = start.clone();
-        abacus_legalize(&d, &rows, &mut ab);
-        let mut tt = start.clone();
-        tetris_legalize(&d, &rows, &mut tt);
-        let d_ab = start.l1_distance(&ab);
-        let d_tt = start.l1_distance(&tt);
-        assert!(
-            d_ab <= d_tt * 1.2,
-            "abacus displacement {d_ab} vs tetris {d_tt}"
-        );
     }
 
     #[test]

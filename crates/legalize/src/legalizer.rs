@@ -5,17 +5,6 @@ use complx_netlist::{Design, Placement};
 use crate::abacus::abacus_legalize;
 use crate::macros::legalize_macros;
 use crate::rows::RowLayout;
-use crate::tetris::tetris_legalize;
-
-/// Which standard-cell legalization algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LegalizerAlgorithm {
-    /// Abacus least-displacement legalization (default; better quality).
-    #[default]
-    Abacus,
-    /// Greedy Tetris sweep (faster; used as fallback).
-    Tetris,
-}
 
 /// A legalized placement plus diagnostics.
 #[derive(Debug, Clone)]
@@ -30,29 +19,20 @@ pub struct LegalPlacement {
 
 /// Legalization entry point: legalizes movable macros by spiral search,
 /// carves their footprints out of the row structure, then legalizes
-/// standard cells row by row.
+/// standard cells row by row with Abacus. Build it with
+/// `Legalizer::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Legalizer {
-    /// Standard-cell algorithm choice.
-    pub algorithm: LegalizerAlgorithm,
-}
+#[non_exhaustive]
+pub struct Legalizer;
 
 impl Legalizer {
-    /// Creates a legalizer with the default (Abacus) algorithm.
-    pub fn new(algorithm: LegalizerAlgorithm) -> Self {
-        Self { algorithm }
-    }
-
     /// Produces a legal placement from a (global) placement.
     pub fn legalize(&self, design: &Design, placement: &Placement) -> LegalPlacement {
         let _span = complx_obs::span("legalize");
         let mut out = placement.clone();
         let (macro_rects, macro_failures) = legalize_macros(design, &mut out);
         let rows = RowLayout::new(design, &macro_rects);
-        let std_failures = match self.algorithm {
-            LegalizerAlgorithm::Abacus => abacus_legalize(design, &rows, &mut out),
-            LegalizerAlgorithm::Tetris => tetris_legalize(design, &rows, &mut out),
-        };
+        let std_failures = abacus_legalize(design, &rows, &mut out);
         let displacement = placement.l1_distance(&out);
         complx_obs::add("legalize.runs", 1);
         complx_obs::add("legalize.failures", (macro_failures + std_failures) as u64);
@@ -72,7 +52,7 @@ mod tests {
     use complx_netlist::generator::GeneratorConfig;
 
     #[test]
-    fn both_algorithms_produce_legal_placements() {
+    fn spread_start_legalizes() {
         let d = GeneratorConfig::small("l", 51).generate();
         // A mildly spread starting point, as produced by global placement.
         let core = d.core();
@@ -88,11 +68,9 @@ mod tests {
                 ),
             );
         }
-        for alg in [LegalizerAlgorithm::Abacus, LegalizerAlgorithm::Tetris] {
-            let res = Legalizer::new(alg).legalize(&d, &start);
-            assert_eq!(res.failures, 0, "{alg:?}");
-            assert!(is_legal(&d, &res.placement, 1e-6), "{alg:?}");
-        }
+        let res = Legalizer::default().legalize(&d, &start);
+        assert_eq!(res.failures, 0);
+        assert!(is_legal(&d, &res.placement, 1e-6));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! * [`RowLayout`] — standard-cell rows carved into segments around fixed
 //!   obstacles (and legalized macros),
-//! * [`tetris_legalize`] — greedy left-to-right legalization (fast, used as
-//!   a fallback and as the macro legalizer's helper),
-//! * [`abacus_legalize`] — row-based least-displacement legalization with
-//!   cluster merging (the default),
+//! * [`legalize_macros`] — spiral-search legalization of movable macros,
+//!   whose footprints then become row blockages,
+//! * [`abacus_legalize`] — row-based least-displacement legalization of
+//!   the standard cells, with cluster merging,
 //! * [`DetailedPlacer`] — iterative *global swap*, *vertical swap* and
 //!   *local reordering* passes until improvement stalls.
 //!
@@ -50,13 +50,11 @@ mod legalizer;
 mod macros;
 pub mod mirror;
 mod rows;
-mod tetris;
 mod verify;
 
 pub use abacus::abacus_legalize;
 pub use detail::{DetailResult, DetailStats, DetailedPlacer};
-pub use legalizer::{LegalPlacement, Legalizer, LegalizerAlgorithm};
+pub use legalizer::{LegalPlacement, Legalizer};
 pub use macros::legalize_macros;
 pub use rows::{RowLayout, Segment};
-pub use tetris::tetris_legalize;
 pub use verify::{is_legal, legality_report, legality_report_with_tol, LegalityReport};

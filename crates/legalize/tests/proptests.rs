@@ -1,8 +1,7 @@
 //! Property-based tests for legalization and detailed placement.
 
 use complx_legalize::{
-    is_legal, legality_report, legalize_macros, DetailedPlacer, Legalizer, LegalizerAlgorithm,
-    RowLayout,
+    is_legal, legality_report, legalize_macros, DetailedPlacer, Legalizer, RowLayout,
 };
 use complx_netlist::{generator::GeneratorConfig, hpwl, Placement, Point};
 use proptest::prelude::*;
@@ -26,21 +25,19 @@ fn scatter(design: &complx_netlist::Design, salt: u64) -> Placement {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both legalizers always produce a legal placement from any scattered
+    /// The legalizer always produces a legal placement from any scattered
     /// start on std-cell designs.
     #[test]
-    fn legalizers_always_produce_legal_output(seed in 0u64..40, salt in 0u64..1000) {
+    fn legalizer_always_produces_legal_output(seed in 0u64..40, salt in 0u64..1000) {
         let mut cfg = GeneratorConfig::small("lp", seed);
         cfg.num_std_cells = 150;
         cfg.num_pads = 8;
         let d = cfg.generate();
         let start = scatter(&d, salt);
-        for alg in [LegalizerAlgorithm::Abacus, LegalizerAlgorithm::Tetris] {
-            let res = Legalizer::new(alg).legalize(&d, &start);
-            prop_assert_eq!(res.failures, 0, "{:?}", alg);
-            let rep = legality_report(&d, &res.placement);
-            prop_assert!(rep.is_legal(1e-6), "{alg:?}: {rep:?}");
-        }
+        let res = Legalizer::default().legalize(&d, &start);
+        prop_assert_eq!(res.failures, 0);
+        let rep = legality_report(&d, &res.placement);
+        prop_assert!(rep.is_legal(1e-6), "{rep:?}");
     }
 
     /// Legalization displacement is bounded: no cell teleports across the

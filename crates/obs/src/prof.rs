@@ -23,7 +23,7 @@
 //!    counter deltas and per-iteration events into a bounded ring of
 //!    per-iteration records (iteration index → phase durations, CG
 //!    iterations, λ, HPWL), read back through a shared [`TimelineHandle`]
-//!    after harvest. [`collapsed_stacks`] renders a [`Harvest`] in the
+//!    after harvest. [`collapsed_stacks`] renders span phases in the
 //!    standard collapsed-stack ("folded") format — one line per span
 //!    path, `place;iteration;cg_solve_x <self-µs>` — consumable by any
 //!    flamegraph tool.
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use crate::collector::Harvest;
 use crate::json::JsonValue;
-use crate::report::MemPhaseStat;
+use crate::report::{MemPhaseStat, PhaseStat};
 use crate::sink::Sink;
 
 // ---------------------------------------------------------------------------
@@ -326,18 +326,18 @@ pub fn memory_json(harvest: Option<&Harvest>) -> JsonValue {
 // Collapsed stacks
 // ---------------------------------------------------------------------------
 
-/// Renders a harvest in collapsed-stack ("folded") format: one line per
+/// Renders span phases (a [`Harvest`]'s or a report's) in collapsed-stack
+/// ("folded") format: one line per
 /// span path with `/` separators rewritten to `;`, followed by the path's
 /// *self* time in integer microseconds (total minus direct children —
 /// the convention flamegraph tools expect, so stack totals are not
 /// double-counted). Lines are sorted by path; the output is terminated by
 /// a newline when non-empty.
-pub fn collapsed_stacks(harvest: &Harvest) -> String {
+pub fn collapsed_stacks(phases: &[PhaseStat]) -> String {
     let mut out = String::new();
-    for p in &harvest.phases {
+    for p in phases {
         let child_prefix = format!("{}/", p.path);
-        let children: f64 = harvest
-            .phases
+        let children: f64 = phases
             .iter()
             .filter(|c| c.depth == p.depth + 1 && c.path.starts_with(&child_prefix))
             .map(|c| c.total_seconds)
@@ -558,7 +558,6 @@ impl TimelineHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::PhaseStat;
 
     fn phase(path: &str, depth: usize, total: f64) -> PhaseStat {
         PhaseStat {
@@ -581,7 +580,7 @@ mod tests {
             ],
             ..Harvest::default()
         };
-        let folded = collapsed_stacks(&h);
+        let folded = collapsed_stacks(&h.phases);
         assert_eq!(
             folded,
             "place 250000\nplace;iteration 250000\nplace;iteration;cg_solve_x 500000\n"
@@ -596,7 +595,7 @@ mod tests {
             phases: vec![phase("k", 0, 0.1), phase("k/chunks", 1, 0.4)],
             ..Harvest::default()
         };
-        assert_eq!(collapsed_stacks(&h), "k 0\nk;chunks 400000\n");
+        assert_eq!(collapsed_stacks(&h.phases), "k 0\nk;chunks 400000\n");
     }
 
     #[test]

@@ -174,7 +174,7 @@ fn collapsed_stacks_match_golden_fixture() {
         ],
         ..Harvest::default()
     };
-    let folded = collapsed_stacks(&h);
+    let folded = collapsed_stacks(&h.phases);
     let golden = include_str!("fixtures/collapsed_golden.txt");
     assert_eq!(folded, golden);
 }
@@ -190,7 +190,7 @@ fn collapsed_stacks_from_a_live_harvest_parse_as_folded_lines() {
         }
     }
     let h = harvest().expect("armed");
-    let folded = collapsed_stacks(&h);
+    let folded = collapsed_stacks(&h.phases);
     for line in folded.lines() {
         let (stack, us) = line.rsplit_once(' ').expect("`<stack> <us>` shape");
         assert!(!stack.is_empty());

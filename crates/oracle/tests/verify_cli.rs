@@ -10,7 +10,7 @@ use complx_netlist::{
     bookshelf, generator::GeneratorConfig, AlignmentAxis, AlignmentConstraint, CellKind,
     DesignBuilder, Point, Rect, RegionConstraint,
 };
-use complx_place::{run_report, ComplxPlacer, PlacerConfig};
+use complx_place::{solve, PlacerConfig, SolveArtifacts, SolveRequest};
 
 fn verify_bin() -> &'static str {
     env!("CARGO_BIN_EXE_complx-verify")
@@ -350,13 +350,12 @@ fn real_run_artifacts_validate_end_to_end() {
     let aux =
         bookshelf::write_bundle(&design, &design.initial_placement(), dir.join("design")).unwrap();
 
-    let config = PlacerConfig::fast();
-    let outcome = ComplxPlacer::new(config.clone()).place(&design).unwrap();
+    let SolveArtifacts { outcome, report } =
+        solve(&design, SolveRequest::new(PlacerConfig::fast())).unwrap();
     let sol_aux = bookshelf::write_bundle(&design, &outcome.legal, dir.join("solution")).unwrap();
     let trace_path = dir.join("trace.csv");
     std::fs::write(&trace_path, outcome.trace.to_csv()).unwrap();
     let report_path = dir.join("report.json");
-    let report = run_report(&design, Some(&config), &outcome, None, 1.0);
     std::fs::write(&report_path, report.to_json_string()).unwrap();
 
     let res = run(&[

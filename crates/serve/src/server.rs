@@ -352,30 +352,7 @@ fn parse_id(s: &str) -> Option<u64> {
 
 /// Maps the submit query parameters onto a placer configuration.
 fn resolve_config(req: &Request) -> Result<PlacerConfig, String> {
-    let preset = req.query_param("preset").unwrap_or("default");
-    let mut config = match preset {
-        "default" => PlacerConfig::default(),
-        "fast" => PlacerConfig::fast(),
-        "simpl" => PlacerConfig::simpl(),
-        "finest-grid" => PlacerConfig::finest_grid(),
-        "detail" => PlacerConfig::projection_with_detail(),
-        "stress" => {
-            // No convergence criterion can fire: the solve runs to its
-            // iteration cap (or its cancel token). Load tests use this to
-            // hold scheduler slots for a deterministic amount of work.
-            PlacerConfig {
-                gap_tolerance: f64::NEG_INFINITY,
-                overflow_tolerance: f64::NEG_INFINITY,
-                stagnation_window: usize::MAX,
-                ..PlacerConfig::default()
-            }
-        }
-        other => {
-            return Err(format!(
-                "unknown preset `{other}` (default|fast|simpl|finest-grid|detail|stress)"
-            ))
-        }
-    };
+    let mut config = PlacerConfig::preset(req.query_param("preset").unwrap_or("default"))?;
     if let Some(n) = req.query_param("max_iterations") {
         let n: usize = n.parse().map_err(|_| format!("bad max_iterations `{n}`"))?;
         if n == 0 {
@@ -732,6 +709,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         threads: Some(shared.cfg.threads_per_job.max(1)),
         cancel: Some(cancel),
         sinks: vec![sink],
+        resume: None,
     };
     let solved = solve(&design, request);
     events.close();
